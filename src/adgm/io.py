@@ -29,14 +29,35 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _format_rows(fmt, columns):
+    """One ``fmt % row`` line per row of the equal-length array ``columns``.
+
+    Columns become Python ints and floats first, so ``%d`` and ``%r`` write
+    exactly what ``str`` and ``repr`` would.
+    """
+    return [fmt % row for row in zip(*(c.tolist() for c in columns))]
+
+
+def _parse_rows(lines, dtype):
+    """Parse whitespace-separated data lines (no comments, no blank lines)
+    into a 1-D structured array of ``dtype``.
+
+    Ragged rows, extra columns and non-integer text in an integer field
+    raise ValueError.  No lines give an empty array; they never reach
+    ``np.loadtxt``, which warns on empty input.
+    """
+    if not lines:
+        return np.empty(0, dtype=dtype)
+    return np.loadtxt(lines, dtype=dtype, ndmin=1)
+
+
 # -- point sets -------------------------------------------------------
 
 
 def write_points(path, points):
     """Point-set file: header line ``n``, then one ``x y`` line per point."""
     points = np.asarray(points, dtype=np.float64)
-    lines = [str(points.shape[0])]
-    lines += [f"{_fmt(x)} {_fmt(y)}" for x, y in points]
+    lines = [str(points.shape[0])] + _format_rows("%r %r", points.T)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -47,10 +68,11 @@ def read_points(path):
     count = int(lines[0])
     if len(lines) - 1 != count:
         raise ValueError(f"{path}: expected {count} points, found {len(lines) - 1}")
-    points = np.array([[float(f) for f in line.split()] for line in lines[1:]])
-    if count and points.shape != (count, 2):
-        raise ValueError(f"{path}: points must have two coordinates")
-    return points.reshape(count, 2)
+    try:
+        rows = _parse_rows(lines[1:], [("xy", np.float64, (2,))])
+    except ValueError as exc:
+        raise ValueError(f"{path}: points must have two coordinates ({exc})") from None
+    return rows["xy"]
 
 
 # -- edge lists -------------------------------------------------------
@@ -79,7 +101,7 @@ def write_unary(path, matrix):
     """Unary matrix file: header ``n1 n2``, then one row per line."""
     matrix = np.asarray(matrix, dtype=np.float64)
     lines = [f"{matrix.shape[0]} {matrix.shape[1]}"]
-    lines += [" ".join(_fmt(v) for v in row) for row in matrix]
+    lines += _format_rows(" ".join(["%r"] * matrix.shape[1]), matrix.T)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -88,8 +110,10 @@ def read_unary(path):
     if not lines:
         raise ValueError(f"{path}: empty unary file")
     n1, n2 = (int(p) for p in lines[0].split())
-    rows = [[float(f) for f in line.split()] for line in lines[1:]]
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+    try:
+        matrix = _parse_rows(lines[1:], [("row", np.float64, (n2,))])["row"]
+    except ValueError as exc:
+        raise ValueError(f"{path}: expected a {n1} x {n2} matrix ({exc})") from None
     if matrix.shape != (n1, n2):
         raise ValueError(f"{path}: expected a {n1} x {n2} matrix, got {matrix.shape}")
     return matrix
@@ -101,13 +125,13 @@ def read_unary(path):
 def tensor_to_lines(tensor):
     """Tensor section: header ``order D dim n`` then ``i_1 ... i_D value``
     per entry (0-based indices, canonical order)."""
-    lines = [f"order {tensor.order} dim {tensor.dim}"]
-    for idx, value in tensor.items():
-        lines.append(" ".join(str(i) for i in idx) + f" {_fmt(value)}")
-    return lines
+    fmt = " ".join(["%d"] * tensor.order) + " %r"
+    columns = list(tensor.indices.T) + [tensor.values]
+    return [f"order {tensor.order} dim {tensor.dim}"] + _format_rows(fmt, columns)
 
 
 def tensor_from_lines(lines):
+    """Inverse of tensor_to_lines; ``lines`` hold no comments or blank lines."""
     lines = list(lines)
     if not lines:
         raise ValueError("tensor section is empty")
@@ -115,18 +139,13 @@ def tensor_from_lines(lines):
     if len(head) != 4 or head[0] != "order" or head[2] != "dim":
         raise ValueError(f"bad tensor header {lines[0]!r}")
     order, dim = int(head[1]), int(head[3])
-    indices = []
-    values = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != order + 1:
-            raise ValueError(
-                f"tensor entry needs {order} indices and a value, got {line!r}"
-            )
-        indices.append([int(p) for p in parts[:order]])
-        values.append(float(parts[order]))
-    indices = np.array(indices, dtype=np.int64).reshape(len(values), order)
-    return SparseTensor(order, dim, indices, np.array(values))
+    try:
+        rows = _parse_rows(lines[1:], [("idx", np.int64, (order,)), ("val", np.float64)])
+    except ValueError as exc:
+        raise ValueError(
+            f"tensor entry needs {order} indices and a value ({exc})"
+        ) from None
+    return SparseTensor(order, dim, rows["idx"], rows["val"])
 
 
 def write_tensor(path, tensor):
@@ -206,27 +225,22 @@ def read_instance(path):
     lines = list(_data_lines(Path(path).read_text()))
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not an instance file (missing {_MAGIC!r} header)")
+    bounds = [pos for pos, line in enumerate(lines) if line == "tensor"]
+    bounds.append(len(lines))
     fields = {}
     truth_targets = None
-    sections = []
-    pos = 1
-    while pos < len(lines) and lines[pos] != "tensor":
-        key, _, rest = lines[pos].partition(" ")
+    for line in lines[1 : bounds[0]]:
+        key, _, rest = line.partition(" ")
         if key == "truth":
             truth_targets = [int(p) for p in rest.split()]
         elif key in ("n1", "n2", "rows", "cols", "sense"):
             fields[key] = rest.strip()
         else:
             raise ValueError(f"{path}: unknown instance field {key!r}")
-        pos += 1
-    while pos < len(lines):
-        # lines[pos] == "tensor"
-        pos += 1
-        section = []
-        while pos < len(lines) and lines[pos] != "tensor":
-            section.append(lines[pos])
-            pos += 1
-        sections.append(tensor_from_lines(section))
+    sections = [
+        tensor_from_lines(lines[start + 1 : end])
+        for start, end in zip(bounds, bounds[1:])
+    ]
 
     missing = {"n1", "n2", "rows", "cols", "sense"} - set(fields)
     if missing:

@@ -26,6 +26,10 @@ from scipy import sparse
 # gather-multiply-scatter path runs instead (no n**(order-1) work vector).
 _MATVEC_CAP = 1 << 20
 
+# Mixed-radix index keys run over [0, dim**order); int64 holds them while
+# dim**order is at most this.  Larger tensors sort their index rows as rows.
+_KEY_LIMIT = 1 << 63
+
 
 class SparseTensor:
     """Immutable sparse tensor with ``order`` modes of common size ``dim``."""
@@ -59,7 +63,9 @@ class SparseTensor:
         if values.size and not np.all(np.isfinite(values)):
             raise ValueError("tensor values must be finite")
 
-        indices, values = _canonicalize(order, indices, values)
+        self._store(order, dim, *_canonicalize(order, dim, indices, values))
+
+    def _store(self, order, dim, indices, values):
         indices.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "order", order)
@@ -101,8 +107,19 @@ class SparseTensor:
             yield tuple(int(i) for i in row), float(v)
 
     def scaled(self, factor):
-        """New tensor with every value multiplied by ``factor``."""
-        return SparseTensor(self.order, self.dim, self.indices, self.values * factor)
+        """New tensor with every value multiplied by ``factor``.
+
+        While every scaled value stays finite and nonzero the order and the
+        support are unchanged, so the result shares ``indices`` and skips
+        the re-sort; otherwise the constructor drops underflowed zeros or
+        rejects overflowed values.
+        """
+        values = self.values * factor
+        if not (np.all(np.isfinite(values)) and np.all(values != 0.0)):
+            return SparseTensor(self.order, self.dim, self.indices, values)
+        result = object.__new__(SparseTensor)
+        result._store(self.order, self.dim, self.indices, values)
+        return result
 
     def __eq__(self, other):
         if not isinstance(other, SparseTensor):
@@ -145,7 +162,7 @@ class SparseTensor:
         return op
 
 
-def _canonicalize(order, indices, values):
+def _canonicalize(order, dim, indices, values):
     """Sort lexicographically, merge duplicate indices, drop exact zeros."""
     if indices.shape[0] == 0:
         return indices.copy(), values.copy()
@@ -154,10 +171,34 @@ def _canonicalize(order, indices, values):
         if total == 0.0:
             return np.empty((0, 0), dtype=np.int64), np.empty(0, dtype=np.float64)
         return np.empty((1, 0), dtype=np.int64), np.array([total])
-    uniq, inverse = np.unique(indices, axis=0, return_inverse=True)
-    merged = np.bincount(inverse.ravel(), weights=values, minlength=uniq.shape[0])
+    rows, inverse = _unique_rows(order, dim, indices)
+    merged = np.bincount(inverse, weights=values, minlength=rows.shape[0])
     keep = merged != 0.0
-    return uniq[keep].copy(), merged[keep]
+    return rows[keep], merged[keep]
+
+
+def _unique_rows(order, dim, indices):
+    """Distinct index rows in lexicographic order, and the position of each
+    input row among them.
+
+    Each row is encoded as the mixed-radix int64 key
+    ``(i_1 * dim + i_2) * dim + ... + i_D``, whose numeric order is the
+    lexicographic row order, so one 1-D sort does the work.  Only when
+    ``dim**order`` does not fit in int64 are the rows sorted as rows.
+    """
+    if dim**order > _KEY_LIMIT:
+        rows, inverse = np.unique(indices, axis=0, return_inverse=True)
+        return rows, inverse.ravel()
+    key = indices[:, 0].copy()
+    for m in range(1, order):
+        key *= dim
+        key += indices[:, m]
+    key, inverse = np.unique(key, return_inverse=True)
+    rows = np.empty((key.shape[0], order), dtype=np.int64)
+    for m in range(order - 1, 0, -1):
+        key, rows[:, m] = np.divmod(key, dim)
+    rows[:, 0] = key
+    return rows, inverse
 
 
 def multilinear_form(tensor, vectors):

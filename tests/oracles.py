@@ -55,6 +55,54 @@ def dense_partial_contraction(dense, open_mode, left, right):
     return result
 
 
+# -- canonical form and text of sparse tensors ---------------------------
+
+
+def rowwise_canonicalize(order, indices, values):
+    """Canonical coordinate form by sorting index rows as rows
+    (``np.unique(axis=0)``): lexicographic order, duplicate rows summed in
+    input order, exact zeros dropped."""
+    values = np.asarray(values, dtype=np.float64)
+    indices = np.asarray(indices, dtype=np.int64).reshape(values.size, order)
+    if indices.shape[0] == 0:
+        return indices.copy(), values.copy()
+    if order == 0:
+        total = float(values.sum())
+        if total == 0.0:
+            return np.empty((0, 0), dtype=np.int64), np.empty(0)
+        return np.empty((1, 0), dtype=np.int64), np.array([total])
+    uniq, inverse = np.unique(indices, axis=0, return_inverse=True)
+    merged = np.bincount(inverse.ravel(), weights=values, minlength=uniq.shape[0])
+    keep = merged != 0.0
+    return uniq[keep], merged[keep]
+
+
+def linewise_tensor_lines(tensor):
+    """Tensor section text, formatted one entry at a time with ``str`` and
+    ``repr``."""
+    lines = [f"order {tensor.order} dim {tensor.dim}"]
+    for idx, value in tensor.items():
+        lines.append(" ".join(str(i) for i in idx) + f" {float(value)!r}")
+    return lines
+
+
+def linewise_read_tensor(text):
+    """Parse tensor section text one line at a time with ``int`` and
+    ``float``; returns ``(order, dim, indices, values)`` in canonical form."""
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    lines = [line for line in lines if line]
+    head = lines[0].split()
+    order, dim = int(head[1]), int(head[3])
+    indices, values = [], []
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != order + 1:
+            raise ValueError(f"tensor entry needs {order} indices and a value")
+        indices.append([int(p) for p in parts[:order]])
+        values.append(float(parts[order]))
+    return (order, dim) + rowwise_canonicalize(order, indices, values)
+
+
 # -- simplex projections ------------------------------------------------
 
 

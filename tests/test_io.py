@@ -1,8 +1,10 @@
 """Round-trip and error-path tests for the text file formats."""
 
 import csv
+import warnings
 
 import numpy as np
+import oracles
 import pytest
 
 from adgm.constraints import ConstraintSpec, SideMode
@@ -54,6 +56,12 @@ class TestPoints:
         with pytest.raises(ValueError, match="expected 3 points"):
             read_points(path)
 
+    def test_extra_coordinate_is_rejected(self, tmp_path):
+        path = tmp_path / "points.txt"
+        path.write_text("2\n0.0 1.0\n2.0 3.0 4.0\n")
+        with pytest.raises(ValueError, match="two coordinates"):
+            read_points(path)
+
     def test_empty_file_is_rejected(self, tmp_path):
         path = tmp_path / "points.txt"
         path.write_text("# nothing here\n")
@@ -94,11 +102,29 @@ class TestUnary:
         with pytest.raises(ValueError, match="2 x 2"):
             read_unary(path)
 
+    def test_ragged_row_is_rejected(self, tmp_path):
+        path = tmp_path / "unary.txt"
+        path.write_text("2 2\n1.0 2.0\n3.0\n")
+        with pytest.raises(ValueError, match="2 x 2"):
+            read_unary(path)
+
     def test_empty_file_is_rejected(self, tmp_path):
         path = tmp_path / "unary.txt"
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             read_unary(path)
+
+
+# Values that stress the text round trip: subnormals, the largest finite
+# magnitudes, and a power of ten with a short repr.
+_EXTREMES = [
+    5e-324,
+    2.225073858507201e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1e22,
+    0.1,
+]
 
 
 class TestTensor:
@@ -128,6 +154,84 @@ class TestTensor:
     def test_wrong_arity_entry_is_rejected(self):
         with pytest.raises(ValueError, match="2 indices"):
             tensor_from_lines(["order 2 dim 4", "0 1 2 3.0"])
+
+    @pytest.mark.parametrize("index", ["1.5", "1.0", "1e0", "0x1"])
+    def test_non_integer_index_is_rejected(self, index):
+        with pytest.raises(ValueError, match="2 indices"):
+            tensor_from_lines(["order 2 dim 4", f"0 {index} 3.0"])
+
+    def test_empty_section_round_trips_without_warnings(self, tmp_path):
+        path = tmp_path / "tensor.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_tensor(path, SparseTensor.empty(2, 6))
+            path.write_text(path.read_text() + "# no entries\n\n")
+            assert read_tensor(path) == SparseTensor.empty(2, 6)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[v] for v in _EXTREMES] + [[0.75, -0.75], [0.1, 0.2, -0.3, 1e-17]],
+    )
+    def test_order_zero_matches_linewise_reference(self, values):
+        tensor = SparseTensor(0, 1, np.empty((len(values), 0)), values)
+        lines = tensor_to_lines(tensor)
+        assert lines == oracles.linewise_tensor_lines(tensor)
+        _, _, r_indices, r_values = oracles.linewise_read_tensor("\n".join(lines))
+        _assert_same_tensor(tensor_from_lines(lines), tensor, r_indices, r_values)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_text_and_arrays_match_linewise_reference(self, tmp_path, order):
+        rng = np.random.default_rng(10 + order)
+        dim = 8
+        indices, values = _awkward_entries(rng, order, dim)
+        tensor = SparseTensor(order, dim, indices, values)
+        lines = tensor_to_lines(tensor)
+        assert lines == oracles.linewise_tensor_lines(tensor)
+        _assert_same_tensor(tensor_from_lines(lines), tensor)
+
+        # An uncanonical section: shuffled, with duplicates, comments and
+        # blank lines.
+        text = [f"order {order} dim {dim}  # header", ""]
+        for row, value in zip(indices.tolist(), values.tolist()):
+            text.append(" ".join(map(str, row)) + f" {value!r}")
+            if rng.random() < 0.2:
+                text.append(rng.choice(["", "   ", "# comment", "\t# indented"]))
+        text[-1] += "  # trailing"
+        path = tmp_path / "tensor.txt"
+        path.write_text("\n".join(text) + "\n")
+        r_order, r_dim, r_indices, r_values = oracles.linewise_read_tensor(path.read_text())
+        _assert_same_tensor(read_tensor(path), SparseTensor(r_order, r_dim), r_indices, r_values)
+        _assert_same_tensor(read_tensor(path), tensor)
+
+
+def _awkward_entries(rng, order, dim):
+    """Shuffled index rows with duplicates, one row whose entries cancel to
+    zero, and the extreme values each on a row of their own."""
+    cells = dim**order
+    extreme_keys = rng.choice(cells, size=len(_EXTREMES), replace=False)
+    keys = rng.integers(0, cells, size=60)
+    keys = keys[~np.isin(keys, extreme_keys)]
+    keys = np.concatenate([keys, keys[:15], keys[:1], keys[:1]])
+    values = rng.normal(size=keys.size)
+    values[keys == keys[0]] = 0.0
+    values[-2], values[-1] = 0.75, -0.75
+    keys = np.concatenate([keys, extreme_keys])
+    values = np.concatenate([values, _EXTREMES])
+    perm = rng.permutation(keys.size)
+    indices = np.stack(np.unravel_index(keys[perm], (dim,) * order), axis=1)
+    return indices.astype(np.int64), values[perm]
+
+
+def _assert_same_tensor(actual, expected, indices=None, values=None):
+    """Same order and dim, and the same index and value bytes."""
+    indices = expected.indices if indices is None else indices
+    values = expected.values if values is None else values
+    assert (actual.order, actual.dim) == (expected.order, expected.dim)
+    assert actual.indices.shape == indices.shape
+    assert actual.indices.dtype == indices.dtype == np.int64
+    assert actual.indices.tobytes() == indices.tobytes()
+    assert actual.values.dtype == values.dtype == np.float64
+    assert actual.values.tobytes() == values.tobytes()
 
 
 class TestTruth:
@@ -181,6 +285,26 @@ class TestInstance:
         path = tmp_path / "instance.txt"
         write_instance(path, bare)
         assert read_instance(path).ground_truth is None
+
+    def test_comments_and_blanks_inside_sections_are_ignored(self, tmp_path):
+        instance = _sample_instance()
+        path = tmp_path / "instance.txt"
+        write_instance(path, instance)
+        text = path.read_text().replace("\n0 3 ", "\n\n# pairs\n  0 3 ")
+        path.write_text(text.replace("\ntensor\n", "\ntensor  # next\n\n"))
+        assert read_instance(path).potentials == instance.potentials
+
+    def test_empty_pairwise_section_round_trips_without_warnings(self, tmp_path):
+        instance = _sample_instance()
+        empty = (instance.potentials[0], SparseTensor.empty(2, instance.n))
+        bare = MatchingInstance(
+            instance.n1, instance.n2, empty, instance.spec, instance.sense
+        )
+        path = tmp_path / "instance.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_instance(path, bare)
+            assert read_instance(path).potentials == empty
 
     def test_missing_orders_are_filled_with_empty_tensors(self, tmp_path):
         path = tmp_path / "instance.txt"

@@ -53,6 +53,83 @@ def test_scaled():
     assert t.scaled(0.0).nnz == 0
 
 
+def _assert_same_arrays(tensor, indices, values):
+    assert tensor.indices.dtype == indices.dtype and tensor.indices.shape == indices.shape
+    assert tensor.indices.tobytes() == indices.tobytes()
+    assert tensor.values.dtype == values.dtype and tensor.values.shape == values.shape
+    assert tensor.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_key_sort_matches_rowwise_reference(order):
+    rng = np.random.default_rng(order)
+    dim = 7
+    indices = rng.integers(0, dim, size=(400, order))
+    values = rng.normal(size=400)
+    # Duplicates to merge, and one row whose entries cancel to zero.
+    indices = np.concatenate([indices, indices[:50], indices[:1]])
+    values = np.concatenate([values, rng.normal(size=50), [0.0]])
+    values[np.all(indices == indices[0], axis=1)] = 0.0
+    values[0], values[-1] = 1.5, -1.5
+    perm = rng.permutation(values.size)
+    tensor = SparseTensor(order, dim, indices[perm], values[perm])
+    _assert_same_arrays(
+        tensor, *oracles.rowwise_canonicalize(order, indices[perm], values[perm])
+    )
+    assert not np.any(np.all(tensor.indices == indices[0], axis=1))
+
+
+def _row_sorts(monkeypatch):
+    """Record the ``axis`` argument of every ``np.unique`` call."""
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("axis"))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "order, dim, row_sort",
+    [(5, 1 << 13, True), (3, 1 << 21, False)],
+    ids=["key-overflows-int64", "key-fills-int64"],
+)
+def test_key_range_selects_the_sort(monkeypatch, order, dim, row_sort):
+    rng = np.random.default_rng(5)
+    indices = rng.integers(dim - 4, dim, size=(300, order))
+    indices[:100] = rng.integers(0, dim, size=(100, order))
+    values = rng.normal(size=300)
+    calls = _row_sorts(monkeypatch)
+    tensor = SparseTensor(order, dim, indices, values)
+    assert calls == [0 if row_sort else None]
+    monkeypatch.undo()
+    _assert_same_arrays(tensor, *oracles.rowwise_canonicalize(order, indices, values))
+
+
+def test_scaling_that_keeps_the_support_skips_the_sort(monkeypatch):
+    rng = np.random.default_rng(6)
+    t = random_sparse_tensor(rng, 3, 6, nnz=40)
+    calls = _row_sorts(monkeypatch)
+    negated = t.scaled(-1.0)
+    halved = t.scaled(0.5)
+    assert calls == []
+    monkeypatch.undo()
+    assert negated == SparseTensor(3, 6, t.indices, -t.values)
+    assert halved == SparseTensor(3, 6, t.indices, 0.5 * t.values)
+    with pytest.raises(ValueError):
+        negated.values[0] = 1.0
+
+
+def test_scaling_to_zero_or_overflow_goes_through_the_constructor():
+    t = SparseTensor(1, 3, [[0], [1], [2]], [1e-300, 1.0, 1e300])
+    assert dict(t.scaled(1e-30).items()) == {(1,): 1e-30, (2,): 1e300 * 1e-30}
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        t.scaled(1e10)
+
+
 def test_immutable():
     t = SparseTensor.from_entries(1, 2, {(0,): 1.0})
     with pytest.raises(AttributeError):
