@@ -39,6 +39,7 @@ from .harness import (
     run_experiment,
 )
 from .models import (
+    build_model,
     build_pairwise_a,
     build_pairwise_b,
     build_pairwise_c,
@@ -88,6 +89,7 @@ __all__ = [
     "as_vector",
     "assignment_index",
     "brute_force_optimum",
+    "build_model",
     "build_pairwise_a",
     "build_pairwise_b",
     "build_pairwise_c",

@@ -17,10 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from math import pi
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from .constraints import ConstraintSpec, SideMode
 from .discretize import BruteForceLimits, brute_force_optimum
@@ -38,16 +36,18 @@ from .io import (
     write_trace,
     write_truth,
 )
-from .models import (
-    build_pairwise_a,
-    build_pairwise_b,
-    build_pairwise_c,
-    build_third_order,
-    delaunay_edges,
-)
+from .models import MODELS, build_model
 from .solver import SolverConfig, Variant, solve
 
 _SIDE_CHOICES = ("exactly-one", "at-most-one", "unconstrained")
+# `build` flags passed to the model builder as given; a flag left out
+# takes the builder's default.
+_MODEL_PARAMS = (
+    "eta", "sigma_l", "sigma_a", "sigma2", "knn", "triangle_budget", "gamma",
+    "unary_offset", "seed",
+)
+# `build` flags naming a file that model a reads.
+_MODEL_FILES = (("edges1", read_edges), ("edges2", read_edges), ("unary", read_unary))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,59 +88,22 @@ def _cmd_build(args):
     n1, n2 = points1.shape[0], points2.shape[0]
     spec = _resolve_cli_spec(args, n1, n2)
     truth = read_truth(args.truth, n1, n2) if args.truth else None
-
+    params = {name: getattr(args, name) for name in _MODEL_PARAMS if name in args}
     if args.model == "a":
-        edges1 = read_edges(args.edges1) if args.edges1 else delaunay_edges(points1)
-        edges2 = read_edges(args.edges2) if args.edges2 else delaunay_edges(points2)
-        unary = read_unary(args.unary) if args.unary else np.zeros((n1, n2))
-        instance = build_pairwise_a(
-            points1,
-            points2,
-            edges1,
-            edges2,
-            unary,
-            eta=args.eta,
-            sigma_l=args.sigma_l,
-            sigma_a=args.sigma_a,
-            unary_offset=args.unary_offset,
-            spec=spec,
-            ground_truth=truth,
-        )
-    elif args.model == "b":
-        instance = build_pairwise_b(
-            points1, points2, args.sigma2, spec=spec, ground_truth=truth
-        )
-    elif args.model == "c":
-        instance = build_pairwise_c(
-            points1, points2, args.eta, spec=spec, ground_truth=truth
-        )
-    else:
-        instance = build_third_order(
-            points1,
-            points2,
-            knn=args.knn,
-            triangle_budget=args.triangles,
-            gamma=args.gamma,
-            seed=args.seed,
-            spec=spec,
-            ground_truth=truth,
-        )
+        for name, reader in _MODEL_FILES:
+            if getattr(args, name, None):
+                params[name] = reader(getattr(args, name))
+    instance = build_model(args.model, points1, points2, spec=spec, ground_truth=truth, **params)
     write_instance(args.out, instance)
     print(f"wrote {args.out}")
     return 0
 
 
 def _solver_config(args):
-    return SolverConfig(
-        variant=Variant.parse(args.variant),
-        rho0=args.rho0,
-        t1=args.t1,
-        t2=args.t2,
-        beta=args.beta,
-        eps=args.eps,
-        max_iter=args.max_iter,
-        seed=args.seed,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(SolverConfig) if f.name in args}
+    if "variant" in given:
+        given["variant"] = Variant.parse(given["variant"])
+    return SolverConfig(**given)
 
 
 def _cmd_solve(args):
@@ -158,14 +121,14 @@ def _cmd_solve(args):
             instance.n1,
             instance.n2,
             metadata={
-                "variant": args.variant,
+                "variant": config.variant.value,
                 "iterations": result.iterations,
                 "converged": "true" if result.converged else "false",
                 "energy_discrete": repr(result.energy_discrete),
                 "energy_continuous": repr(result.energy_continuous),
             },
         )
-    print(f"variant {args.variant}")
+    print(f"variant {config.variant.value}")
     print(f"iterations {result.iterations}")
     print(f"converged {'true' if result.converged else 'false'}")
     print(f"energy_continuous {result.energy_continuous!r}")
@@ -208,14 +171,15 @@ def _cmd_oracle(args):
 
 
 def _add_solver_flags(parser):
-    parser.add_argument("--variant", choices=("adgm1", "adgm2"), default="adgm1")
-    parser.add_argument("--rho0", type=float, default=None, help="initial penalty (default n/1000)")
-    parser.add_argument("--t1", type=int, default=300)
-    parser.add_argument("--t2", type=int, default=50)
-    parser.add_argument("--beta", type=float, default=2.0)
-    parser.add_argument("--eps", type=float, default=None, help="stop threshold (default 1e-6 * n)")
-    parser.add_argument("--max-iter", type=int, default=10000)
-    parser.add_argument("--seed", type=int, default=None)
+    # A flag left out takes the SolverConfig default.
+    group = parser.add_argument_group("solver", argument_default=argparse.SUPPRESS)
+    group.add_argument("--variant", choices=("adgm1", "adgm2"))
+    group.add_argument("--rho0", type=float, help="initial penalty (default n/1000)")
+    group.add_argument("--t1", type=int)
+    group.add_argument("--t2", type=int)
+    group.add_argument("--beta", type=float)
+    group.add_argument("--eps", type=float, help="stop threshold (default 1e-6 * n)")
+    group.add_argument("--max-iter", type=int)
 
 
 def build_parser():
@@ -237,23 +201,25 @@ def build_parser():
     build = sub.add_parser("build", help="build an instance file from point sets")
     build.add_argument("--points1", required=True)
     build.add_argument("--points2", required=True)
-    build.add_argument("--model", choices=("a", "b", "c", "third"), required=True)
-    build.add_argument("--eta", type=float, default=0.5)
-    build.add_argument("--sigma-l", type=float, default=0.5)
-    build.add_argument("--sigma-a", type=float, default=pi / 2)
-    build.add_argument("--sigma2", type=float, default=2500.0)
-    build.add_argument("--knn", type=int, default=300)
-    build.add_argument("--triangles", type=int, default=5000)
-    build.add_argument("--gamma", type=float, default=None)
-    build.add_argument("--unary", help="unary potential file (model a)")
-    build.add_argument("--unary-offset", type=float, default=0.0)
-    build.add_argument("--edges1", help="edge list for the first set (model a)")
-    build.add_argument("--edges2", help="edge list for the second set (model a)")
+    build.add_argument("--model", choices=MODELS, required=True)
     build.add_argument("--rows", choices=_SIDE_CHOICES, default=None)
     build.add_argument("--cols", choices=_SIDE_CHOICES, default=None)
     build.add_argument("--truth", help="ground-truth correspondence file")
-    build.add_argument("--seed", type=int, default=None)
     build.add_argument("--out", required=True, help="output instance file")
+    # A flag left out takes the builder's default.
+    model = build.add_argument_group("model", argument_default=argparse.SUPPRESS)
+    model.add_argument("--eta", type=float)
+    model.add_argument("--sigma-l", type=float)
+    model.add_argument("--sigma-a", type=float)
+    model.add_argument("--sigma2", type=float)
+    model.add_argument("--knn", type=int)
+    model.add_argument("--triangles", type=int, dest="triangle_budget")
+    model.add_argument("--gamma", type=float)
+    model.add_argument("--unary", help="unary potential file (model a)")
+    model.add_argument("--unary-offset", type=float)
+    model.add_argument("--edges1", help="edge list for the first set (model a)")
+    model.add_argument("--edges2", help="edge list for the second set (model a)")
+    model.add_argument("--seed", type=int)
     build.set_defaults(func=_cmd_build)
 
     solve_cmd = sub.add_parser("solve", help="solve an instance file")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import cos, sin
 from pathlib import Path
 
@@ -21,13 +21,7 @@ import numpy as np
 from .discretize import BruteForceLimits, brute_force_optimum
 from .errors import OracleRefusalError
 from .io import _data_lines
-from .models import (
-    build_pairwise_a,
-    build_pairwise_b,
-    build_pairwise_c,
-    build_third_order,
-    delaunay_edges,
-)
+from .models import MODELS, build_model
 from .solver import SolverConfig, Variant, energy, solve
 
 logger = logging.getLogger(__name__)
@@ -57,7 +51,6 @@ SUMMARY_COLUMNS = [
     "global_opt_rate",
 ]
 
-_MODELS = ("a", "b", "c", "third")
 _SWEEPS = ("outliers", "subset")
 
 
@@ -138,7 +131,8 @@ class TrialReport:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One benchmark sweep: which model, which difficulty variable, how
-    many trials per setting, and which solver configurations to compare."""
+    many trials per setting, and which solver configurations to compare.
+    A model parameter left at None takes the builder's default."""
 
     model: str
     values: tuple
@@ -150,19 +144,19 @@ class ExperimentConfig:
     transform: Transform = Transform()
     methods: tuple = (("adgm1", SolverConfig()),)
     seed: int = 0
-    eta: float = 0.5
-    sigma2: float = 2500.0
-    sigma_l: float = 0.5
-    sigma_a: float = float(np.pi / 2)
-    unary_offset: float = 0.0
-    knn: int = 300
-    triangles: int = 5000
+    eta: float | None = None
+    sigma2: float | None = None
+    sigma_l: float | None = None
+    sigma_a: float | None = None
+    unary_offset: float | None = None
+    knn: int | None = None
+    triangles: int | None = None
     oracle_limits: BruteForceLimits = BruteForceLimits()
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
+        if self.model not in MODELS:
+            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.sweep not in _SWEEPS:
             raise ValueError(f"sweep must be one of {_SWEEPS}, got {self.sweep!r}")
         if not self.values:
@@ -187,31 +181,14 @@ class ExperimentConfig:
 
 
 def _build_instance(config, points1, points2, truth, model_seed):
-    if config.model == "a":
-        unary = np.zeros((points1.shape[0], points2.shape[0]))
-        return build_pairwise_a(
-            points1,
-            points2,
-            delaunay_edges(points1),
-            delaunay_edges(points2),
-            unary,
-            eta=config.eta,
-            sigma_l=config.sigma_l,
-            sigma_a=config.sigma_a,
-            unary_offset=config.unary_offset,
-            ground_truth=truth,
-        )
-    if config.model == "b":
-        return build_pairwise_b(points1, points2, config.sigma2, ground_truth=truth)
-    if config.model == "c":
-        return build_pairwise_c(points1, points2, config.eta, ground_truth=truth)
-    return build_third_order(
-        points1,
-        points2,
-        knn=config.knn,
-        triangle_budget=config.triangles,
-        seed=model_seed,
-        ground_truth=truth,
+    # Only the fields that are set: the rest take the builder's defaults.
+    params = {
+        "triangle_budget" if name == "triangles" else name: getattr(config, name)
+        for name in _MODEL_KEYS
+        if getattr(config, name) is not None
+    }
+    return build_model(
+        config.model, points1, points2, seed=model_seed, ground_truth=truth, **params
     )
 
 
@@ -375,35 +352,54 @@ def _write_plot_script(path):
 
 # -- experiment config files ------------------------------------------
 
-_CONFIG_KEYS = {
-    "model",
-    "sweep",
-    "values",
-    "inliers",
-    "total",
-    "trials",
-    "noise_sigma",
-    "rotation",
-    "scale",
-    "tx",
-    "ty",
-    "methods",
-    "seed",
-    "eta",
-    "sigma2",
-    "sigma_l",
-    "sigma_a",
-    "unary_offset",
-    "knn",
-    "triangles",
-    "rho0",
-    "t1",
-    "t2",
-    "beta",
-    "eps",
-    "max_iter",
-    "out",
+def _sweep_values(text):
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def _methods(text):
+    names = (name.strip().lower() for name in text.split(","))
+    return tuple((name, SolverConfig(variant=Variant.parse(name))) for name in names if name)
+
+
+def _optional_float(text):
+    return float(text) if text else None
+
+
+# Config key -> value parser, one table per target.  Keys left out of a
+# file take the target's own defaults.  The model keys are the
+# ExperimentConfig fields that _build_instance passes to the builder.
+_MODEL_KEYS = {
+    "eta": float,
+    "sigma2": float,
+    "sigma_l": float,
+    "sigma_a": float,
+    "unary_offset": float,
+    "knn": int,
+    "triangles": int,
 }
+_EXPERIMENT_KEYS = {
+    "methods": _methods,
+    "model": str.lower,
+    "values": _sweep_values,
+    "sweep": str.lower,
+    "inliers": int,
+    "total": int,
+    "trials": int,
+    "noise_sigma": float,
+    "seed": int,
+    **_MODEL_KEYS,
+    "out": str,
+}
+_TRANSFORM_KEYS = {"rotation": float, "scale": float, "tx": float, "ty": float}
+_SOLVER_KEYS = {
+    "rho0": _optional_float,
+    "t1": int,
+    "t2": int,
+    "beta": float,
+    "eps": _optional_float,
+    "max_iter": int,
+}
+_CONFIG_KEYS = _EXPERIMENT_KEYS.keys() | _TRANSFORM_KEYS.keys() | _SOLVER_KEYS.keys()
 
 
 def read_experiment_config(path):
@@ -423,52 +419,17 @@ def read_experiment_config(path):
     if "values" not in entries:
         raise ValueError(f"{path}: missing required key 'values'")
 
-    def get_float(key, default):
-        return float(entries[key]) if key in entries else default
+    def parsed(table):
+        return {key: parse(entries[key]) for key, parse in table.items() if key in entries}
 
-    def get_int(key, default):
-        return int(entries[key]) if key in entries else default
-
-    transform = Transform(
-        rotation=get_float("rotation", 0.0),
-        scale=get_float("scale", 1.0),
-        tx=get_float("tx", 0.0),
-        ty=get_float("ty", 0.0),
-    )
-    solver_kwargs = dict(
-        rho0=float(entries["rho0"]) if entries.get("rho0") else None,
-        t1=get_int("t1", 300),
-        t2=get_int("t2", 50),
-        beta=get_float("beta", 2.0),
-        eps=float(entries["eps"]) if entries.get("eps") else None,
-        max_iter=get_int("max_iter", 10000),
-    )
-    method_names = [
-        name.strip().lower()
-        for name in entries.get("methods", "adgm1").split(",")
-        if name.strip()
-    ]
-    methods = tuple(
-        (name, SolverConfig(variant=Variant.parse(name), **solver_kwargs))
-        for name in method_names
-    )
+    transform = Transform(**parsed(_TRANSFORM_KEYS))
+    solver = parsed(_SOLVER_KEYS)
+    fields = parsed(_EXPERIMENT_KEYS)
+    methods = fields.pop("methods", ExperimentConfig.methods)
+    if "out" in fields:
+        fields["out_dir"] = fields.pop("out")
     return ExperimentConfig(
-        model=entries["model"].strip().lower(),
-        values=tuple(int(v) for v in entries["values"].split(",") if v.strip()),
-        sweep=entries.get("sweep", "outliers").strip().lower(),
-        inliers=get_int("inliers", 10),
-        total=get_int("total", 30),
-        trials=get_int("trials", 1),
-        noise_sigma=get_float("noise_sigma", 0.0),
         transform=transform,
-        methods=methods,
-        seed=get_int("seed", 0),
-        eta=get_float("eta", 0.5),
-        sigma2=get_float("sigma2", 2500.0),
-        sigma_l=get_float("sigma_l", 0.5),
-        sigma_a=get_float("sigma_a", float(np.pi / 2)),
-        unary_offset=get_float("unary_offset", 0.0),
-        knn=get_int("knn", 300),
-        triangles=get_int("triangles", 5000),
-        out_dir=entries.get("out"),
+        methods=tuple((name, replace(config, **solver)) for name, config in methods),
+        **fields,
     )

@@ -14,11 +14,13 @@ preserve geometry between two 2-D point sets:
   triangles and their nearest target triangles in angle space.
   Maximization.
 
-``delaunay_edges`` supplies the graph edges used by the edge-based model.
+``build_model`` dispatches on a model name (``MODELS``);
+``delaunay_edges`` supplies the default graph edges of the edge-based model.
 """
 
 from __future__ import annotations
 
+import inspect
 from itertools import combinations, permutations
 
 import numpy as np
@@ -134,9 +136,9 @@ def _normalized_edges(edges, n):
 def build_pairwise_a(
     points1,
     points2,
-    edges1,
-    edges2,
-    unary,
+    edges1=None,
+    edges2=None,
+    unary=None,
     eta=0.5,
     sigma_l=0.5,
     sigma_a=np.pi / 2,
@@ -151,13 +153,18 @@ def build_pairwise_a(
     ``eta * exp(delta^2 / sigma_l^2) + (1 - eta) * exp(alpha^2 / sigma_a^2) - 1``
     with alpha the turning angle; each unordered edge pair is emitted in
     both orientations.  Unary entries are the supplied matrix minus
-    ``unary_offset`` (a large offset discourages occlusion).
+    ``unary_offset`` (a large offset discourages occlusion).  Edges left
+    out are the Delaunay edges of their set; a unary left out is zero.
     """
     pts1 = _as_points(points1)
     pts2 = _as_points(points2)
     n1, n2 = pts1.shape[0], pts2.shape[0]
     spec = _resolve_spec(spec, n1, n2)
-    unary = np.asarray(unary, dtype=np.float64)
+    if edges1 is None:
+        edges1 = delaunay_edges(pts1)
+    if edges2 is None:
+        edges2 = delaunay_edges(pts2)
+    unary = np.zeros((n1, n2)) if unary is None else np.asarray(unary, dtype=np.float64)
     if unary.shape != (n1, n2):
         raise ValueError(f"unary must have shape ({n1}, {n2}), got {unary.shape}")
 
@@ -358,6 +365,31 @@ def build_third_order(
     third = SparseTensor(3, n, indices, all_values)
     potentials = empty + (third,)
     return MatchingInstance(n1, n2, potentials, spec, Sense.MAXIMIZE, ground_truth)
+
+
+MODELS = ("a", "b", "c", "third")
+
+
+def build_model(model, points1, points2, **params):
+    """Build an instance with the builder named by ``model`` (one of
+    ``MODELS``).  Parameters that builder does not take are dropped, and
+    parameters left out take the builder's defaults."""
+    # Looked up on each call, so that a rebound module attribute (a
+    # tracing wrapper, a test double) is the builder that runs.  Such a
+    # wrapper must keep the builder's signature (functools.wraps).
+    builders = {
+        "a": build_pairwise_a,
+        "b": build_pairwise_b,
+        "c": build_pairwise_c,
+        "third": build_third_order,
+    }
+    if model not in builders:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    builder = builders[model]
+    accepted = inspect.signature(builder).parameters
+    return builder(
+        points1, points2, **{key: value for key, value in params.items() if key in accepted}
+    )
 
 
 def _circumcircle(a, b, c):

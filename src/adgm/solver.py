@@ -125,7 +125,6 @@ class SolverConfig:
     beta: float = 2.0
     eps: float | None = None
     max_iter: int = 10000
-    seed: int | None = None  # reserved; the iteration itself is deterministic
 
     def validate(self):
         if self.rho0 is not None and not self.rho0 > 0:
