@@ -9,8 +9,9 @@ refusing loudly when the instance is too large to enumerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, islice, permutations, repeat
 from math import comb, factorial, perm
+from operator import add
 
 import numpy as np
 
@@ -31,6 +32,12 @@ class BruteForceLimits:
     max_injective: int = 7
     max_occluded: int = 5
     max_candidates: int = 2_000_000
+
+
+# Floats of work per scoring batch: brute_force_optimum scores
+# max(1, _BATCH_FLOATS // max(n, nnz)) candidates at a time, so its peak
+# memory does not grow with the candidate count.
+_BATCH_FLOATS = 1 << 15
 
 
 def _assignment_min_cost(cost):
@@ -75,6 +82,16 @@ def _assignment_min_cost(cost):
     return match_row
 
 
+def require_one_to_one(spec):
+    """Raise UnsupportedConstraintError unless ``hungarian`` can
+    discretize under ``spec``: no side may be unconstrained."""
+    if SideMode.UNCONSTRAINED in (spec.row_mode, spec.col_mode):
+        raise UnsupportedConstraintError(
+            "many-to-many sides have no one-to-one discretization; "
+            "threshold the continuous solution instead"
+        )
+
+
 def hungarian(profit, spec):
     """Hard assignment maximizing total profit under ``spec``.
 
@@ -90,11 +107,7 @@ def hungarian(profit, spec):
         )
     if profit.size and not np.all(np.isfinite(profit)):
         raise ValueError("profit entries must be finite")
-    if SideMode.UNCONSTRAINED in (spec.row_mode, spec.col_mode):
-        raise UnsupportedConstraintError(
-            "many-to-many sides have no one-to-one discretization; "
-            "threshold the continuous solution instead"
-        )
+    require_one_to_one(spec)
 
     n1, n2 = spec.n1, spec.n2
     if spec.row_mode is SideMode.EXACTLY_ONE and spec.col_mode is SideMode.EXACTLY_ONE:
@@ -118,36 +131,60 @@ def hungarian(profit, spec):
     return as_vector(matrix)
 
 
-def _enumerate_hard_assignments(spec):
-    """Yield every hard assignment matrix allowed by ``spec``.
+def _index_rows(tuples, width, batch):
+    """Stack a stream of length-``width`` int tuples into ``(B, width)``
+    int64 arrays of at most ``batch`` rows each (``width >= 1``)."""
+    while True:
+        flat = np.fromiter(chain.from_iterable(islice(tuples, batch)), dtype=np.int64)
+        if flat.size == 0:
+            return
+        yield flat.reshape(-1, width)
 
-    Matrices are int arrays; the caller owns flattening and scoring.
+
+def _candidate_batches(spec, batch):
+    """Yield every hard assignment allowed by ``spec`` as a ``(B, k)``
+    int64 array of the flat indices ``col * n1 + row`` it selects.
+
+    Candidates are streamed from ``itertools``, at most ``batch`` per
+    array; ``k`` is fixed within an array.
     """
     n1, n2 = spec.n1, spec.n2
-    row_exact = spec.row_mode is SideMode.EXACTLY_ONE
-    col_exact = spec.col_mode is SideMode.EXACTLY_ONE
-    if row_exact and col_exact:
-        for cols in permutations(range(n2)):
-            matrix = np.zeros((n1, n2))
-            matrix[np.arange(n1), cols] = 1.0
-            yield matrix
-    elif row_exact:
-        for cols in permutations(range(n2), n1):
-            matrix = np.zeros((n1, n2))
-            matrix[np.arange(n1), cols] = 1.0
-            yield matrix
-    elif col_exact:
-        for rows in permutations(range(n1), n2):
-            matrix = np.zeros((n1, n2))
-            matrix[rows, np.arange(n2)] = 1.0
-            yield matrix
+    if spec.row_mode is SideMode.EXACTLY_ONE:
+        # Row i goes to column cols[i]; covers the square both-exact case.
+        for cols in _index_rows(permutations(range(n2), n1), n1, batch):
+            yield cols * n1 + np.arange(n1)
+    elif spec.col_mode is SideMode.EXACTLY_ONE:
+        # Column j takes row rows[j].
+        for rows in _index_rows(permutations(range(n1), n2), n2, batch):
+            yield np.arange(n2) * n1 + rows
     else:
-        for k in range(min(n1, n2) + 1):
-            for rows in combinations(range(n1), k):
-                for cols in permutations(range(n2), k):
-                    matrix = np.zeros((n1, n2))
-                    matrix[list(rows), list(cols)] = 1.0
-                    yield matrix
+        yield np.empty((1, 0), dtype=np.int64)  # nothing matched
+        for k in range(1, min(n1, n2) + 1):
+            # Each candidate is its k matched rows followed by their columns.
+            pairs = chain.from_iterable(
+                map(add, repeat(rows), permutations(range(n2), k))
+                for rows in combinations(range(n1), k)
+            )
+            for both in _index_rows(pairs, 2 * k, batch):
+                yield both[:, k:] * n1 + both[:, :k]
+
+
+def _batch_energies(potentials, x):
+    """``energy`` of each row of the 0/1 matrix ``x``, with the same
+    operations in the same order, so every value is bit-identical."""
+    # energy adds each tensor's float to an int 0.  The total is never
+    # -0.0, so the 0.0 of an empty tensor can be skipped.
+    total = np.zeros(x.shape[0])
+    for tensor in potentials:
+        if tensor.nnz == 0:
+            continue
+        # take keeps factor C-ordered, so each row is summed pairwise like
+        # multilinear_form's 1-D sum (x[:, idx] would be F-ordered).
+        factor = tensor.values * x.take(tensor.indices[:, 0], axis=1)
+        for m in range(1, tensor.order):
+            factor *= x.take(tensor.indices[:, m], axis=1)
+        total += factor.sum(axis=1)
+    return total
 
 
 def _candidate_count(spec):
@@ -169,9 +206,10 @@ def brute_force_optimum(instance, limits=None):
     Returns ``(assignment_vector, energy)`` in the instance's native
     sense.  Ties are broken by the lexicographically smallest assignment
     vector.  Raises OracleRefusalError when the enumeration would exceed
-    ``limits`` instead of silently truncating.
+    ``limits`` instead of silently truncating.  Candidates are scored in
+    fixed-size batches, each score bit-identical to ``energy``.
     """
-    from .solver import Sense, energy  # local import to avoid a module cycle
+    from .solver import Sense  # local import to avoid a module cycle
 
     if limits is None:
         limits = BruteForceLimits()
@@ -202,18 +240,21 @@ def brute_force_optimum(instance, limits=None):
         )
 
     maximize = instance.sense is Sense.MAXIMIZE
-    best_key = None
-    best_vec = None
-    best_energy = None
-    for matrix in _enumerate_hard_assignments(spec):
-        x = as_vector(matrix)
-        value = energy(instance, x)
-        score = -value if maximize else value
-        key = tuple(int(round(e)) for e in x)
-        if best_key is None or score < best_key[0] or (
-            score == best_key[0] and key < best_key[1]
+    n = spec.n
+    widest = max(n, max(tensor.nnz for tensor in instance.potentials))
+    batch = max(1, _BATCH_FLOATS // widest)
+    best_score = best_vec = best_energy = None
+    for selected in _candidate_batches(spec, batch):
+        x = np.zeros((selected.shape[0], n))
+        x[np.arange(selected.shape[0])[:, None], selected] = 1.0
+        values = _batch_energies(instance.potentials, x)
+        scores = -values if maximize else values
+        score = scores.min()
+        tied = np.flatnonzero(scores == score)
+        # lexsort's last key is the primary one: put entry 0 last.
+        i = tied[np.lexsort(x[tied].T[::-1])[0]]
+        if best_score is None or score < best_score or (
+            score == best_score and tuple(x[i]) < tuple(best_vec)
         ):
-            best_key = (score, key)
-            best_vec = x
-            best_energy = value
+            best_score, best_vec, best_energy = score, x[i].copy(), float(values[i])
     return best_vec, best_energy

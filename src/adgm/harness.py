@@ -365,6 +365,12 @@ def _optional_float(text):
     return float(text) if text else None
 
 
+def _out_dir(text):
+    if not text:
+        raise ValueError("config key 'out' needs a directory")
+    return text
+
+
 # Config key -> value parser, one table per target.  Keys left out of a
 # file take the target's own defaults.  The model keys are the
 # ExperimentConfig fields that _build_instance passes to the builder.
@@ -388,7 +394,7 @@ _EXPERIMENT_KEYS = {
     "noise_sigma": float,
     "seed": int,
     **_MODEL_KEYS,
-    "out": str,
+    "out": _out_dir,
 }
 _TRANSFORM_KEYS = {"rotation": float, "scale": float, "tx": float, "ty": float}
 _SOLVER_KEYS = {

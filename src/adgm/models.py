@@ -427,9 +427,10 @@ def delaunay_edges(points):
     lexicographic vertex order, rejecting any whose edges properly cross
     an accepted edge (this resolves cocircular ties deterministically).
     O(n^4); fine for the point counts this package targets.  If all
-    points are collinear, returns the path along the sorted order.
+    points are collinear, or there are only two, returns the path along
+    the sorted order.
     """
-    pts = _as_points(points, min_count=3)
+    pts = _as_points(points, min_count=2)
     n = pts.shape[0]
 
     candidates = []

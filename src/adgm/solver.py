@@ -25,7 +25,7 @@ from .constraints import (
     project_colwise,
     project_rowwise,
 )
-from .discretize import hungarian
+from .discretize import hungarian, require_one_to_one
 from .errors import ConfigurationError
 from .tensor import SparseTensor, multilinear_form, partial_contraction
 
@@ -365,6 +365,8 @@ def solve(instance, config=None, collect_trace=False):
     if config is None:
         config = SolverConfig()
     config.validate()
+    # The result is discretized by hungarian: refuse before iterating.
+    require_one_to_one(instance.spec)
 
     work = _canonical_minimization(instance)
     n = work.n

@@ -108,6 +108,11 @@ class TestBuildModel:
         )
         assert build_pairwise_a(p1, p2) == explicit
 
+    def test_model_a_default_edges_of_two_points_are_one_edge(self):
+        p1, p2, _ = generate_synthetic(2, 0, 0.02, seed=9)
+        explicit = build_pairwise_a(p1, p2, [(0, 1)], [(0, 1)], np.zeros((2, 2)))
+        assert build_model("a", p1, p2) == explicit
+
     def test_drops_parameters_the_builder_does_not_take(self):
         p1, p2, _ = generate_synthetic(4, 0, seed=1)
         assert build_model("b", p1, p2, eta=0.1, knn=3, seed=5) == build_pairwise_b(p1, p2)
@@ -172,6 +177,12 @@ class TestConfigValues:
         path = tmp_path / "bench.cfg"
         path.write_text("model = c\nvalues = 0\neta =\n")
         with pytest.raises(ValueError):
+            read_experiment_config(path)
+
+    def test_empty_out_is_rejected(self, tmp_path):
+        path = tmp_path / "bench.cfg"
+        path.write_text("model = a\nvalues = 0\nout =\n")
+        with pytest.raises(ValueError, match="'out'"):
             read_experiment_config(path)
 
     def test_empty_rho0_and_eps_mean_the_default(self, tmp_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import dense_random_instance, random_instance
+from helpers import dense_random_instance, random_instance, random_sparse_tensor
 
+from adgm import discretize
 from adgm.constraints import ConstraintSpec, SideMode, as_matrix, as_vector, feasibility
 from adgm.discretize import BruteForceLimits, brute_force_optimum, hungarian
 from adgm.errors import OracleRefusalError, UnsupportedConstraintError
@@ -202,3 +203,115 @@ def test_brute_force_agrees_with_hungarian_on_unary_instances():
             _, best = brute_force_optimum(inst)
             x = hungarian(as_matrix(values, n1, n2), spec)
             assert float(values @ x) == pytest.approx(best, abs=1e-12)
+
+
+# -- batched scoring against per-candidate scoring -------------------------------
+
+EXACT, SOFT = SideMode.EXACTLY_ONE, SideMode.AT_MOST_ONE
+# One shape per side-mode branch of the enumeration.
+SIDE_MODES = [
+    (EXACT, EXACT, 4, 4),
+    (EXACT, SOFT, 3, 5),
+    (SOFT, EXACT, 5, 3),
+    (SOFT, SOFT, 4, 4),
+]
+
+
+def assert_same_optimum(inst):
+    """The batched oracle must equal per-candidate ``energy`` scoring bit
+    for bit: same assignment, same float."""
+    got_x, got_e = brute_force_optimum(inst)
+    exp_x, exp_e = oracles.exhaustive_optimum(inst)
+    assert np.array_equal(got_x, exp_x)
+    assert got_e == exp_e
+
+
+def record_batch_sizes(monkeypatch):
+    """Rebind the candidate stream to one that records each batch's size."""
+    sizes = []
+    original = discretize._candidate_batches
+
+    def recording(spec, batch):
+        for selected in original(spec, batch):
+            sizes.append(selected.shape[0])
+            yield selected
+
+    monkeypatch.setattr(discretize, "_candidate_batches", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("sense", [Sense.MINIMIZE, Sense.MAXIMIZE])
+@pytest.mark.parametrize("row_mode, col_mode, n1, n2", SIDE_MODES)
+def test_batched_oracle_equals_per_candidate_scoring(row_mode, col_mode, n1, n2, sense):
+    rng = np.random.default_rng(49)
+    spec = ConstraintSpec(n1, n2, row_mode, col_mode)
+    n = spec.n
+    for max_order in (1, 2, 3):
+        for _ in range(3):
+            assert_same_optimum(
+                random_instance(rng, n1, n2, max_order=max_order, sense=sense, spec=spec)
+            )
+    # empty slots between and around a filled one
+    pairwise = random_sparse_tensor(rng, 2, n, 3 * n)
+    empty_slots = (SparseTensor.empty(1, n), pairwise, SparseTensor.empty(3, n))
+    assert_same_optimum(MatchingInstance(n1, n2, empty_slots, spec, sense))
+
+
+def test_batched_oracle_dense_third_order_scores_one_candidate_per_batch(monkeypatch):
+    # n = 33: the dense order-3 tensor holds 33^3 = 35937 entries, more than
+    # the batch budget, so each batch holds a single candidate.
+    rng = np.random.default_rng(50)
+    n1, n2 = 3, 11
+    n = n1 * n2
+    assert n**3 > discretize._BATCH_FLOATS
+    cube = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1)
+    potentials = (
+        random_sparse_tensor(rng, 1, n, n),
+        SparseTensor.empty(2, n),
+        SparseTensor(3, n, cube.reshape(-1, 3), rng.normal(0.0, 1.0, n**3)),
+    )
+    inst = MatchingInstance(
+        n1, n2, potentials, ConstraintSpec.injective(n1, n2), Sense.MAXIMIZE
+    )
+    sizes = record_batch_sizes(monkeypatch)
+    assert_same_optimum(inst)
+    assert set(sizes) == {1} and len(sizes) == 11 * 10 * 9
+
+
+@pytest.mark.parametrize("per_batch", [1, 7])
+@pytest.mark.parametrize("row_mode, col_mode, n1, n2", SIDE_MODES)
+def test_tie_break_holds_across_batch_boundaries(monkeypatch, per_batch, row_mode, col_mode, n1, n2):
+    spec = ConstraintSpec(n1, n2, row_mode, col_mode)
+    n = spec.n
+    monkeypatch.setattr(discretize, "_BATCH_FLOATS", per_batch * n)
+    sizes = record_batch_sizes(monkeypatch)
+    # every candidate ties at energy 0
+    assert_same_optimum(MatchingInstance(n1, n2, (SparseTensor.empty(1, n),), spec))
+    assert max(sizes) == per_batch
+    # integer potentials: many ties at the optimum, spread over batches
+    rng = np.random.default_rng(51)
+    for sense in (Sense.MINIMIZE, Sense.MAXIMIZE):
+        unary = SparseTensor(1, n, np.arange(n)[:, None], rng.integers(1, 3, n).astype(float))
+        inst = MatchingInstance(n1, n2, (unary,), spec, sense)
+        assert_same_optimum(inst)
+
+
+def test_refusals_raise_before_any_candidate_is_scored(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a candidate was enumerated or scored")
+
+    monkeypatch.setattr(discretize, "_candidate_batches", never)
+    monkeypatch.setattr(discretize, "_batch_energies", never)
+    rng = np.random.default_rng(52)
+    with pytest.raises(OracleRefusalError, match="injective"):
+        brute_force_optimum(dense_random_instance(rng, 8, 8))
+    occluded = ConstraintSpec(6, 6, SideMode.AT_MOST_ONE, SideMode.AT_MOST_ONE)
+    with pytest.raises(OracleRefusalError, match="occlusion"):
+        brute_force_optimum(random_instance(rng, 6, 6, spec=occluded))
+    with pytest.raises(OracleRefusalError, match="cap"):
+        brute_force_optimum(
+            random_instance(rng, 4, 4), BruteForceLimits(max_candidates=23)
+        )
+    spec = ConstraintSpec(2, 2, SideMode.UNCONSTRAINED, SideMode.EXACTLY_ONE)
+    with pytest.raises(UnsupportedConstraintError):
+        brute_force_optimum(MatchingInstance(2, 2, (SparseTensor.empty(1, 4),), spec))

@@ -428,9 +428,12 @@ class TestDelaunayEdges:
         # Sorted by coordinate the order is 1, 2, 0, so the path is 1-2, 2-0.
         assert delaunay_edges(pts) == [(0, 2), (1, 2)]
 
-    def test_requires_three_points(self):
+    def test_two_points_give_their_single_edge(self):
+        assert delaunay_edges(np.array([[1.0, 1.0], [0.0, 0.0]])) == [(0, 1)]
+
+    def test_requires_two_points(self):
         with pytest.raises(ValueError, match="points"):
-            delaunay_edges(np.array([[0.0, 0.0], [1.0, 0.0]]))
+            delaunay_edges(np.array([[0.0, 0.0]]))
 
 
 def _small_instances(rng):
