@@ -152,10 +152,8 @@ def _cmd_bench(args):
 
 def _cmd_oracle(args):
     instance = read_instance(args.instance)
-    limits = BruteForceLimits(
-        max_injective=args.max_injective, max_occluded=args.max_occluded
-    )
-    assignment, best = brute_force_optimum(instance, limits)
+    given = {f.name: getattr(args, f.name) for f in fields(BruteForceLimits) if f.name in args}
+    assignment, best = brute_force_optimum(instance, BruteForceLimits(**given))
     if args.out:
         write_solution(
             args.out,
@@ -236,8 +234,10 @@ def build_parser():
 
     oracle = sub.add_parser("oracle", help="exhaustive discrete optimum of a small instance")
     oracle.add_argument("instance")
-    oracle.add_argument("--max-injective", type=int, default=7)
-    oracle.add_argument("--max-occluded", type=int, default=5)
+    # A flag left out takes the BruteForceLimits default.
+    limits = oracle.add_argument_group("limits", argument_default=argparse.SUPPRESS)
+    limits.add_argument("--max-injective", type=int)
+    limits.add_argument("--max-occluded", type=int)
     oracle.add_argument("--out", help="write the optimal solution here")
     oracle.set_defaults(func=_cmd_oracle)
 

@@ -1,13 +1,14 @@
 """Alternating-direction matching solver.
 
-The matching energy is decomposed over D coupled copies of the assignment
-vector, one per tensor order.  Each iteration sweeps the blocks in order,
-moving block d to the projection of a closed-form target onto its assigned
-constraint set (rows for odd blocks, columns for even ones), then updates
-the scaled dual multipliers and a consensus residual.  Two coupling
-layouts are provided: ADGM1 ties every block to the first (x1 = xd),
-ADGM2 chains consecutive blocks (x_{d-1} = xd).  A slowly increasing
-penalty drives the nonconvex iteration to consensus in practice.
+The matching energy is decomposed over D = max(2, order) coupled copies
+of the assignment vector, one per tensor order.  Each iteration sweeps the
+blocks in order, moving block d to the projection of a closed-form target
+onto its assigned constraint set (rows for odd blocks, columns for even
+ones), then updates the scaled dual multipliers and a consensus residual.
+A variant is only a table of coupled block pairs, one per multiplier:
+ADGM1 ties every block to the first (x1 = xd), ADGM2 chains consecutive
+blocks (x_{d-1} = xd).  A slowly increasing penalty drives the nonconvex
+iteration to consensus in practice.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +60,24 @@ class Variant(Enum):
             if variant.value == key:
                 return variant
         raise ValueError(f"unknown variant {text!r}")
+
+    @lru_cache(maxsize=None)
+    def couplings(self, D):
+        """The variant's consensus constraints over D blocks, as data.
+
+        ``pairs[e] = (p, q)`` couples x_p = x_q (0-based blocks) under
+        multiplier y_e: ADGM1 ties block 0 to every other, ADGM2 chains
+        neighbours.  ``links[i]`` lists block i's couplings in multiplier
+        order as ``(neighbour, e, plus)``, ``plus`` when i is the
+        coupling's q (so +y_e enters its target).  Returns
+        ``(pairs, links)``.
+        """
+        pairs = tuple((q - 1 if self is Variant.ADGM2 else 0, q) for q in range(1, D))
+        links = [[] for _ in range(D)]
+        for e, (p, q) in enumerate(pairs):
+            links[p].append((q, e, False))
+            links[q].append((p, e, True))
+        return pairs, tuple(map(tuple, links))
 
 
 class SetLabel(Enum):
@@ -193,47 +213,35 @@ def assign_constraint_sets(D):
 def _tensor_pull(instance, d, blocks):
     """Sum over orders i >= d of the order-i potential contracted down to
     mode d: modes below d see the current sweep's new iterates, modes
-    above d the previous ones (blocks are read as currently stored)."""
-    n = instance.n
-    total = np.zeros(n)
+    above d the previous ones (blocks are read as currently stored).
+    A maximization instance's potentials enter negated, so every block
+    minimizes."""
+    accumulate = np.subtract if instance.sense is Sense.MAXIMIZE else np.add
+    total = np.zeros(instance.n)
     for tensor in instance.potentials[d - 1 :]:
         if tensor.nnz == 0:
             continue
-        total += partial_contraction(
-            tensor, d, blocks[: d - 1], blocks[d : tensor.order]
-        )
+        part = partial_contraction(tensor, d, blocks[: d - 1], blocks[d : tensor.order])
+        accumulate(total, part, out=total)
     return total
 
 
 def projection_target(variant, d, state, instance):
     """Point whose projection onto block d's constraint set gives the next
-    iterate.  Expects minimization-sense potentials; blocks 1..d-1 must
-    already hold this sweep's values."""
-    blocks = state.blocks
-    D = len(blocks)
-    rho = state.rho
-    pull = _tensor_pull(instance, d, blocks)
-    if variant is Variant.ADGM1:
-        if d == 1:
-            others = blocks[1].copy()
-            for b in blocks[2:]:
-                others += b
-            dual = state.multipliers[0].copy()
-            for y in state.multipliers[1:]:
-                dual += y
-            target = others - dual / rho - pull / rho
-            target /= D - 1
-            return target
-        return blocks[0] + state.multipliers[d - 2] / rho - pull / rho
-    if d == 1:
-        return blocks[1] - state.multipliers[0] / rho - pull / rho
-    if d == D:
-        return blocks[D - 2] + state.multipliers[D - 2] / rho - pull / rho
-    return (
-        0.5 * (blocks[d - 2] + blocks[d])
-        + (state.multipliers[d - 2] - state.multipliers[d - 1]) / (2.0 * rho)
-        - pull / (2.0 * rho)
-    )
+    iterate: ``(sum(x_j) + sum(+-y_e) / rho - pull / rho) / k`` over the k
+    couplings ``e`` of block d with neighbours ``j``, taking ``+y_e`` where
+    block d is the coupling's q.  Blocks 1..d-1 must already hold this
+    sweep's values."""
+    blocks, ys, rho = state.blocks, state.multipliers, state.rho
+    (j, e, plus), *rest = variant.couplings(len(blocks))[1][d - 1]
+    near, dual = blocks[j], (ys[e] if plus else -ys[e])
+    for j, e, plus in rest:
+        near = near + blocks[j]
+        dual = dual + ys[e] if plus else dual - ys[e]
+    target = near + dual / rho - _tensor_pull(instance, d, blocks) / rho
+    if rest:
+        target /= len(rest) + 1
+    return target
 
 
 def residual(state, variant):
@@ -241,39 +249,23 @@ def residual(state, variant):
     plus squared per-block movement (movement weighted by the number of
     couplings touching the block)."""
     blocks = state.blocks
-    prev = state.prev_blocks
-    D = len(blocks)
+    pairs, links = variant.couplings(len(blocks))
     total = 0.0
-    if variant is Variant.ADGM1:
-        for d in range(1, D):
-            diff = blocks[0] - blocks[d]
-            total += float(diff @ diff)
-        move = blocks[0] - prev[0]
-        total += (D - 1) * float(move @ move)
-        for d in range(1, D):
-            move = blocks[d] - prev[d]
-            total += float(move @ move)
-    else:
-        for d in range(1, D):
-            diff = blocks[d - 1] - blocks[d]
-            total += float(diff @ diff)
-        for d in range(D):
-            weight = 1.0 if d in (0, D - 1) else 2.0
-            move = blocks[d] - prev[d]
-            total += weight * float(move @ move)
+    for p, q in pairs:
+        diff = blocks[p] - blocks[q]
+        total += float(diff @ diff)
+    for block, prev, incident in zip(blocks, state.prev_blocks, links):
+        move = block - prev
+        total += len(incident) * float(move @ move)
     return total
 
 
 def update_multipliers(state, variant, rho):
     """Dual ascent on the coupling constraints (in place)."""
     blocks = state.blocks
-    D = len(blocks)
-    for d in range(2, D + 1):
-        if variant is Variant.ADGM1:
-            gap = blocks[0] - blocks[d - 1]
-        else:
-            gap = blocks[d - 2] - blocks[d - 1]
-        state.multipliers[d - 2] += rho * gap
+    pairs = variant.couplings(len(blocks))[0]
+    for e, (p, q) in enumerate(pairs):
+        state.multipliers[e] += rho * (blocks[p] - blocks[q])
 
 
 def adapt_penalty(state, config):
@@ -332,20 +324,8 @@ def to_minimization(instance):
     return flipped, v_max
 
 
-def _canonical_minimization(instance):
-    """Negate potentials of a maximization instance and lift unary-only
-    problems to two blocks with an empty pairwise potential."""
-    potentials = instance.potentials
-    if instance.sense is Sense.MAXIMIZE:
-        potentials = tuple(t.scaled(-1.0) for t in potentials)
-    if len(potentials) == 1:
-        potentials = potentials + (SparseTensor.empty(2, instance.n),)
-    return replace(instance, potentials=potentials, sense=Sense.MINIMIZE)
-
-
-def _initial_state(instance, rho0):
+def _initial_state(instance, D, rho0):
     n = instance.n
-    D = instance.order
     uniform = np.full(n, 1.0 / max(instance.n1, instance.n2))
     return SolverState(
         blocks=[uniform.copy() for _ in range(D)],
@@ -368,9 +348,9 @@ def solve(instance, config=None, collect_trace=False):
     # The result is discretized by hungarian: refuse before iterating.
     require_one_to_one(instance.spec)
 
-    work = _canonical_minimization(instance)
-    n = work.n
-    D = work.order
+    n = instance.n
+    # Unary-only problems still iterate on two blocks.
+    D = max(2, instance.order)
     rho0 = config.rho0 if config.rho0 is not None else n / 1000.0
     eps = config.eps if config.eps is not None else 1e-6 * n
     labels = assign_constraint_sets(D)
@@ -379,7 +359,7 @@ def solve(instance, config=None, collect_trace=False):
         for label in labels
     ]
 
-    state = _initial_state(work, rho0)
+    state = _initial_state(instance, D, rho0)
     trace = [] if collect_trace else None
     converged = False
     start = time.perf_counter()
@@ -387,8 +367,8 @@ def solve(instance, config=None, collect_trace=False):
         for d in range(D):
             np.copyto(state.prev_blocks[d], state.blocks[d])
         for d in range(1, D + 1):
-            target = projection_target(config.variant, d, state, work)
-            state.blocks[d - 1] = projectors[d - 1](target, work.spec)
+            target = projection_target(config.variant, d, state, instance)
+            state.blocks[d - 1] = projectors[d - 1](target, instance.spec)
         update_multipliers(state, config.variant, state.rho)
         r = residual(state, config.variant)
         state.iteration = k

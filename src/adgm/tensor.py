@@ -63,9 +63,7 @@ class SparseTensor:
         if values.size and not np.all(np.isfinite(values)):
             raise ValueError("tensor values must be finite")
 
-        self._store(order, dim, *_canonicalize(order, dim, indices, values))
-
-    def _store(self, order, dim, indices, values):
+        indices, values = _canonicalize(order, dim, indices, values)
         indices.flags.writeable = False
         values.flags.writeable = False
         object.__setattr__(self, "order", order)
@@ -105,21 +103,6 @@ class SparseTensor:
         """Yield ``(index_tuple, value)`` in canonical (sorted) order."""
         for row, v in zip(self.indices, self.values):
             yield tuple(int(i) for i in row), float(v)
-
-    def scaled(self, factor):
-        """New tensor with every value multiplied by ``factor``.
-
-        While every scaled value stays finite and nonzero the order and the
-        support are unchanged, so the result shares ``indices`` and skips
-        the re-sort; otherwise the constructor drops underflowed zeros or
-        rejects overflowed values.
-        """
-        values = self.values * factor
-        if not (np.all(np.isfinite(values)) and np.all(values != 0.0)):
-            return SparseTensor(self.order, self.dim, self.indices, values)
-        result = object.__new__(SparseTensor)
-        result._store(self.order, self.dim, self.indices, values)
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, SparseTensor):

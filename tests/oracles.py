@@ -15,6 +15,7 @@ from scipy.optimize import linprog, minimize
 
 from adgm.constraints import SideMode
 from adgm.solver import Sense, Variant
+from adgm.tensor import partial_contraction
 
 
 # -- dense tensor algebra ----------------------------------------------
@@ -237,6 +238,89 @@ def stacked_residual(blocks, prev_blocks, variant):
             weight = 1.0 if d in (1, D) else 2.0
         total += weight * float(np.dot(delta, delta))
     return total
+
+
+# -- per-variant ADMM step -----------------------------------------------
+#
+# The solver's step as it was written before a variant became a table of
+# coupling pairs: one branch per variant and block position.  Potentials
+# must be in minimization sense.  The tests require the table-driven step
+# to reproduce these byte for byte.
+
+
+def minimization_pull(instance, d, blocks):
+    """Sum over orders i >= d of the order-i potential contracted down to
+    mode d (the minimization-sense tensor pull)."""
+    total = np.zeros(instance.n)
+    for tensor in instance.potentials[d - 1 :]:
+        if tensor.nnz == 0:
+            continue
+        total += partial_contraction(tensor, d, blocks[: d - 1], blocks[d : tensor.order])
+    return total
+
+
+def per_variant_projection_target(variant, d, state, instance):
+    blocks = state.blocks
+    D = len(blocks)
+    rho = state.rho
+    pull = minimization_pull(instance, d, blocks)
+    if variant is Variant.ADGM1:
+        if d == 1:
+            others = blocks[1].copy()
+            for b in blocks[2:]:
+                others += b
+            dual = state.multipliers[0].copy()
+            for y in state.multipliers[1:]:
+                dual += y
+            target = others - dual / rho - pull / rho
+            target /= D - 1
+            return target
+        return blocks[0] + state.multipliers[d - 2] / rho - pull / rho
+    if d == 1:
+        return blocks[1] - state.multipliers[0] / rho - pull / rho
+    if d == D:
+        return blocks[D - 2] + state.multipliers[D - 2] / rho - pull / rho
+    return (
+        0.5 * (blocks[d - 2] + blocks[d])
+        + (state.multipliers[d - 2] - state.multipliers[d - 1]) / (2.0 * rho)
+        - pull / (2.0 * rho)
+    )
+
+
+def per_variant_residual(state, variant):
+    blocks = state.blocks
+    prev = state.prev_blocks
+    D = len(blocks)
+    total = 0.0
+    if variant is Variant.ADGM1:
+        for d in range(1, D):
+            diff = blocks[0] - blocks[d]
+            total += float(diff @ diff)
+        move = blocks[0] - prev[0]
+        total += (D - 1) * float(move @ move)
+        for d in range(1, D):
+            move = blocks[d] - prev[d]
+            total += float(move @ move)
+    else:
+        for d in range(1, D):
+            diff = blocks[d - 1] - blocks[d]
+            total += float(diff @ diff)
+        for d in range(D):
+            weight = 1.0 if d in (0, D - 1) else 2.0
+            move = blocks[d] - prev[d]
+            total += weight * float(move @ move)
+    return total
+
+
+def per_variant_update_multipliers(state, variant, rho):
+    blocks = state.blocks
+    D = len(blocks)
+    for d in range(2, D + 1):
+        if variant is Variant.ADGM1:
+            gap = blocks[0] - blocks[d - 1]
+        else:
+            gap = blocks[d - 2] - blocks[d - 1]
+        state.multipliers[d - 2] += rho * gap
 
 
 # -- exhaustive assignment search ---------------------------------------

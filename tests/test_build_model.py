@@ -11,8 +11,9 @@ import functools
 import numpy as np
 import pytest
 
-from adgm import harness, models
+from adgm import cli, harness, models
 from adgm.cli import main
+from adgm.discretize import BruteForceLimits
 from adgm.harness import (
     ExperimentConfig,
     generate_synthetic,
@@ -93,6 +94,19 @@ class TestCliDefaults:
     def test_solve_seed_flag_is_gone(self, points):
         _cli_build(points, "c")
         assert main(["solve", str(points / "c.txt"), "--seed", "1"]) == 1
+
+    def test_oracle_limits_default_to_brute_force_limits(self, points, monkeypatch):
+        calls = _recording(monkeypatch, cli, "brute_force_optimum")
+        _cli_build(points, "c")
+        instance = str(points / "c.txt")
+        assert main(["oracle", instance]) == 0
+        assert main(["oracle", instance, "--max-occluded", "6"]) == 0
+        assert main(["oracle", instance, "--max-injective", "8", "--max-occluded", "4"]) == 0
+        assert [args[1] for args, _, _ in calls] == [
+            BruteForceLimits(),
+            BruteForceLimits(max_occluded=6),
+            BruteForceLimits(max_injective=8, max_occluded=4),
+        ]
 
 
 class TestBuildModel:

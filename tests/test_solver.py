@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from adgm import solver
 from adgm.constraints import ConstraintSpec, SideMode, as_vector, feasibility
 from adgm.discretize import brute_force_optimum
 from adgm.errors import ConfigurationError, UnsupportedConstraintError
-from adgm.models import build_pairwise_c
+from adgm.harness import generate_synthetic
+from adgm.models import build_pairwise_c, build_third_order
 from adgm.solver import (
     MatchingInstance,
     Sense,
@@ -144,7 +147,9 @@ def test_target_collapses_without_potentials(variant):
 
 
 @pytest.mark.parametrize("variant", [Variant.ADGM1, Variant.ADGM2])
-@pytest.mark.parametrize("shape,order", [((2, 2), 2), ((2, 2), 3), ((3, 3), 3)])
+@pytest.mark.parametrize(
+    "shape,order", [((2, 2), 2), ((2, 2), 3), ((3, 3), 3), ((2, 2), 4)]
+)
 def test_target_matches_lagrangian_minimizer(variant, shape, order):
     rng = np.random.default_rng(22)
     inst = random_instance(rng, *shape, max_order=order, spec=ConstraintSpec(*shape))
@@ -259,6 +264,104 @@ def test_multiplier_update_matches_gap_formula(variant):
     update_multipliers(state, variant, 1.7)
     for y0, y1, gap in zip(before, state.multipliers, gaps):
         assert np.allclose(y1, y0 + 1.7 * gap, rtol=1e-12, atol=1e-15)
+
+
+# -- one coupling table ----------------------------------------------------------
+
+
+def _negated(instance):
+    """The same potentials negated, as a minimization instance."""
+    potentials = tuple(
+        SparseTensor(t.order, t.dim, t.indices, -t.values) for t in instance.potentials
+    )
+    return replace(instance, potentials=potentials, sense=Sense.MINIMIZE)
+
+
+def _copy(state):
+    return SolverState(
+        blocks=[b.copy() for b in state.blocks],
+        prev_blocks=[b.copy() for b in state.prev_blocks],
+        multipliers=[y.copy() for y in state.multipliers],
+        rho=state.rho,
+    )
+
+
+@pytest.mark.parametrize("sense", [Sense.MINIMIZE, Sense.MAXIMIZE])
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+@pytest.mark.parametrize("variant", [Variant.ADGM1, Variant.ADGM2])
+def test_step_is_byte_identical_to_the_per_variant_reference(variant, D, sense):
+    # D = 4 and 5 give ADGM1's first block 3 and 4 couplings and ADGM2
+    # two and three middle blocks.
+    rng = np.random.default_rng(40 + D)
+    inst = random_instance(rng, 2, 3, max_order=D, sense=sense)
+    reference = _negated(inst) if sense is Sense.MAXIMIZE else inst
+    for _ in range(5):
+        state = random_state(rng, inst)
+        for d in range(1, D + 1):
+            got = projection_target(variant, d, state, inst)
+            want = oracles.per_variant_projection_target(variant, d, state, reference)
+            assert got.tobytes() == want.tobytes()
+        got = np.float64(residual(state, variant))
+        want = np.float64(oracles.per_variant_residual(state, variant))
+        assert got.tobytes() == want.tobytes()
+        ours, theirs = _copy(state), _copy(state)
+        update_multipliers(ours, variant, state.rho)
+        oracles.per_variant_update_multipliers(theirs, variant, state.rho)
+        assert [y.tobytes() for y in ours.multipliers] == [
+            y.tobytes() for y in theirs.multipliers
+        ]
+
+
+@pytest.mark.parametrize("kind", ["unary", "pairwise", "third"])
+@pytest.mark.parametrize("variant", [Variant.ADGM1, Variant.ADGM2])
+def test_maximize_solve_is_the_negated_minimize_solve(variant, kind):
+    rng = np.random.default_rng(41)
+    if kind == "unary":  # D = 2 on a single order-1 potential
+        spec = ConstraintSpec.injective(2, 3)
+        inst = unary_instance(rng.normal(0.0, 1.0, 6), spec, Sense.MAXIMIZE)
+    elif kind == "pairwise":
+        inst = dense_random_instance(rng, 3, 3, sense=Sense.MAXIMIZE)
+    else:
+        inst = random_instance(rng, 2, 3, max_order=3, sense=Sense.MAXIMIZE)
+    mirror = _negated(inst)
+    config = SolverConfig(variant=variant, t1=20, t2=5, max_iter=300)
+    got, want = solve(inst, config), solve(mirror, config)
+    for name in ("continuous", "discrete", "residual_trace"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.rho_increases == want.rho_increases
+    assert got.energy_continuous == -want.energy_continuous
+    assert got.energy_discrete == -want.energy_discrete
+    # Each block's step reads the sense from the instance it is given.
+    D = max(2, inst.order)
+    state = SolverState(
+        blocks=[rng.random(inst.n) for _ in range(D)],
+        prev_blocks=[rng.random(inst.n) for _ in range(D)],
+        multipliers=[rng.normal(0.0, 1.0, inst.n) for _ in range(D - 1)],
+        rho=1.3,
+    )
+    for d in range(1, D + 1):
+        assert (
+            projection_target(variant, d, state, inst).tobytes()
+            == projection_target(variant, d, state, mirror).tobytes()
+        )
+
+
+def test_two_solves_of_one_instance_build_each_operator_once(monkeypatch):
+    p1, p2, _ = generate_synthetic(5, 1, 0.02, seed=3)
+    inst = build_third_order(p1, p2, knn=20, triangle_budget=30, seed=0)
+    assert inst.sense is Sense.MAXIMIZE
+    built = []
+    original = SparseTensor._contraction_operator
+
+    def spy(tensor, open_mode):
+        if open_mode not in tensor._contract_cache:
+            built.append((tensor.order, open_mode))
+        return original(tensor, open_mode)
+
+    monkeypatch.setattr(SparseTensor, "_contraction_operator", spy)
+    for variant in (Variant.ADGM1, Variant.ADGM2):
+        solve(inst, SolverConfig(variant=variant, max_iter=5))
+    assert sorted(built) == [(3, 1), (3, 2), (3, 3)]
 
 
 # -- adaptive penalty ----------------------------------------------------------

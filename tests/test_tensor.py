@@ -47,12 +47,6 @@ def test_empty_tensor():
     assert multilinear_form(t, [np.ones(5)] * 3) == 0.0
 
 
-def test_scaled():
-    t = SparseTensor.from_entries(1, 2, {(0,): 2.0, (1,): -3.0})
-    assert dict(t.scaled(0.5).items()) == {(0,): 1.0, (1,): -1.5}
-    assert t.scaled(0.0).nnz == 0
-
-
 def _assert_same_arrays(tensor, indices, values):
     assert tensor.indices.dtype == indices.dtype and tensor.indices.shape == indices.shape
     assert tensor.indices.tobytes() == indices.tobytes()
@@ -107,27 +101,6 @@ def test_key_range_selects_the_sort(monkeypatch, order, dim, row_sort):
     assert calls == [0 if row_sort else None]
     monkeypatch.undo()
     _assert_same_arrays(tensor, *oracles.rowwise_canonicalize(order, indices, values))
-
-
-def test_scaling_that_keeps_the_support_skips_the_sort(monkeypatch):
-    rng = np.random.default_rng(6)
-    t = random_sparse_tensor(rng, 3, 6, nnz=40)
-    calls = _row_sorts(monkeypatch)
-    negated = t.scaled(-1.0)
-    halved = t.scaled(0.5)
-    assert calls == []
-    monkeypatch.undo()
-    assert negated == SparseTensor(3, 6, t.indices, -t.values)
-    assert halved == SparseTensor(3, 6, t.indices, 0.5 * t.values)
-    with pytest.raises(ValueError):
-        negated.values[0] = 1.0
-
-
-def test_scaling_to_zero_or_overflow_goes_through_the_constructor():
-    t = SparseTensor(1, 3, [[0], [1], [2]], [1e-300, 1.0, 1e300])
-    assert dict(t.scaled(1e-30).items()) == {(1,): 1e-30, (2,): 1e300 * 1e-30}
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        t.scaled(1e10)
 
 
 def test_immutable():
