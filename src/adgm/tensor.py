@@ -10,13 +10,13 @@ Tensors are stored in coordinate format (an ``(nnz, order)`` index array and
 a parallel value array) and are canonical by construction: indices sorted
 lexicographically, duplicate indices merged by summation, exact zeros
 dropped.  Instances are immutable; contraction helpers cache per-mode
-scatter matrices on first use.
+scatter matrices on first use, or a single half-size one for every mode of
+an exactly supersymmetric order-3 tensor.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from math import factorial
 
 import numpy as np
 from scipy import sparse
@@ -144,6 +144,31 @@ class SparseTensor:
         self._contract_cache[key] = op
         return op
 
+    def _half_operator(self):
+        """One sparse matrix for every mode of a supersymmetric order-3
+        tensor, or None for any other tensor.
+
+        Row ``a``, column ``b * dim + c``, holding only the entries with
+        ``b <= c``; those with ``b == c`` at half their value.  Applied to
+        the symmetric ``u (x) v + v (x) u`` it sums ``T[a, b, c] u_b v_c``
+        over all ``(b, c)``, as each per-mode operator does.  Whether the
+        tensor is exactly supersymmetric is checked on the first call and
+        cached with the operator.
+        """
+        cache = self._contract_cache
+        if "half" not in cache:
+            cache["half"] = None
+            fits = self.order == 3 and self.dim**2 <= _MATVEC_CAP
+            if fits and _is_supersymmetric(self):
+                a, b, c = self.indices.T
+                keep = b <= c
+                values = np.where(b == c, 0.5 * self.values, self.values)[keep]
+                cache["half"] = sparse.csr_matrix(
+                    (values, (a[keep], b[keep] * self.dim + c[keep])),
+                    shape=(self.dim, self.dim**2),
+                )
+        return cache["half"]
+
 
 def _canonicalize(order, dim, indices, values):
     """Sort lexicographically, merge duplicate indices, drop exact zeros."""
@@ -169,19 +194,55 @@ def _unique_rows(order, dim, indices):
     lexicographic row order, so one 1-D sort does the work.  Only when
     ``dim**order`` does not fit in int64 are the rows sorted as rows.
     """
-    if dim**order > _KEY_LIMIT:
+    key = _row_keys(order, dim, indices)
+    if key is None:
         rows, inverse = np.unique(indices, axis=0, return_inverse=True)
         return rows, inverse.ravel()
-    key = indices[:, 0].copy()
-    for m in range(1, order):
-        key *= dim
-        key += indices[:, m]
     key, inverse = np.unique(key, return_inverse=True)
     rows = np.empty((key.shape[0], order), dtype=np.int64)
     for m in range(order - 1, 0, -1):
         key, rows[:, m] = np.divmod(key, dim)
     rows[:, 0] = key
     return rows, inverse
+
+
+def _row_keys(order, dim, indices, modes=None):
+    """Mixed-radix int64 key of every index row, reading the row's modes in
+    the order ``modes`` (all, in order, by default), or None when
+    ``dim**order`` does not fit in int64."""
+    if dim**order > _KEY_LIMIT:
+        return None
+    first, *rest = range(order) if modes is None else modes
+    key = indices[:, first].copy()
+    for m in rest:
+        key *= dim
+        key += indices[:, m]
+    return key
+
+
+def _is_supersymmetric(tensor):
+    """Whether every permutation of the modes leaves the tensor unchanged,
+    bit for bit.  Adjacent transpositions generate all permutations, so it
+    checks that swapping modes m and m+1 maps the stored index rows onto
+    themselves and every value onto an equal one: the stored rows are
+    sorted and distinct, so sorting the swapped rows must give them back."""
+    order, dim = tensor.order, tensor.dim
+    indices, values = tensor.indices, tensor.values
+    keys = _row_keys(order, dim, indices)
+    for m in range(order - 1):
+        modes = list(range(order))
+        modes[m : m + 2] = m + 1, m
+        if keys is None:
+            swapped = indices[:, modes]
+            perm = np.lexsort(swapped.T[::-1])
+            same = np.array_equal(swapped[perm], indices)
+        else:
+            swapped = _row_keys(order, dim, indices, modes)
+            perm = np.argsort(swapped)
+            same = np.array_equal(swapped[perm], keys)
+        if not (same and np.array_equal(values[perm], values)):
+            return False
+    return True
 
 
 def multilinear_form(tensor, vectors):
@@ -253,6 +314,11 @@ def partial_contraction(tensor, open_mode, left, right):
             tensor._contract_cache["dense1"] = cached
         return cached.copy()
 
+    half = tensor._half_operator()
+    if half is not None:
+        u, v = closed
+        return half @ (np.column_stack((u, v)) @ np.vstack((v, u))).ravel()
+
     op = tensor._contraction_operator(open_mode)
     if op is not None:
         work = closed[0]
@@ -276,14 +342,22 @@ def partial_contraction(tensor, open_mode, left, right):
 def symmetrize(tensor):
     """Average the tensor over all permutations of its modes.
 
-    Every stored entry is replaced by ``order!`` permuted copies at
-    ``value / order!``; coinciding copies merge.  The multilinear form is
-    unchanged when all argument vectors are equal.
+    Index rows that are permutations of one another form an orbit.  Each
+    orbit's values are summed once, and every distinct permutation of its
+    row gets ``sum / (number of distinct permutations)``: the average of
+    the ``order!`` permuted copies, given to all of them as the same float,
+    so the result is exactly symmetric.  The multilinear form is unchanged
+    when all argument vectors are equal.
     """
-    if tensor.order <= 1 or tensor.nnz == 0:
-        return SparseTensor(tensor.order, tensor.dim, tensor.indices, tensor.values)
-    perms = list(permutations(range(tensor.order)))
-    scale = 1.0 / factorial(tensor.order)
-    stacked = np.concatenate([tensor.indices[:, perm] for perm in perms], axis=0)
-    values = np.tile(tensor.values * scale, len(perms))
-    return SparseTensor(tensor.order, tensor.dim, stacked, values)
+    order, dim = tensor.order, tensor.dim
+    if order <= 1 or tensor.nnz == 0:
+        return SparseTensor(order, dim, tensor.indices, tensor.values)
+    orbits, inverse = _unique_rows(order, dim, np.sort(tensor.indices, axis=1))
+    mass = np.bincount(inverse, weights=tensor.values, minlength=orbits.shape[0])
+    perms = list(permutations(range(order)))
+    copies = np.concatenate([orbits[:, perm] for perm in perms], axis=0)
+    rows, inverse = _unique_rows(order, dim, copies)
+    owner = np.empty(rows.shape[0], dtype=np.int64)
+    owner[inverse] = np.tile(np.arange(orbits.shape[0]), len(perms))
+    size = np.bincount(owner, minlength=orbits.shape[0])
+    return SparseTensor(order, dim, rows, (mass / size)[owner])

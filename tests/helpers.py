@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
+from types import SimpleNamespace
 
+import numpy as np
+from scipy import sparse
+
+from adgm import tensor as tensor_module
 from adgm.constraints import ConstraintSpec
 from adgm.solver import MatchingInstance, Sense, SolverState
 from adgm.tensor import SparseTensor
@@ -52,3 +56,16 @@ def random_state(rng, instance, rho=None):
         multipliers=[rng.normal(0.0, 1.0, n) for _ in range(D - 1)],
         rho=float(rng.uniform(0.5, 3.0)) if rho is None else rho,
     )
+
+
+def csr_builds(monkeypatch):
+    """Record every sparse contraction operator that ``adgm.tensor`` builds
+    until ``monkeypatch`` is undone; returns the list of recorded calls."""
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return sparse.csr_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(tensor_module, "sparse", SimpleNamespace(csr_matrix=spy))
+    return built

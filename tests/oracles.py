@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog, minimize
 
 from adgm.constraints import SideMode
@@ -54,6 +55,31 @@ def dense_partial_contraction(dense, open_mode, left, right):
     for vector in left:
         result = dense_mode_product(result, 0, vector)
     return result
+
+
+def per_mode_partial_contraction(tensor, open_mode, left, right):
+    """``partial_contraction`` through the open mode's own CSR operator:
+    rows along the open mode, columns the mixed-radix combination of the
+    closed modes, applied to their outer product.  No symmetry shortcut."""
+    closed = [m for m in range(tensor.order) if m != open_mode - 1]
+    cols = np.zeros(tensor.nnz, dtype=np.int64)
+    for m in closed:
+        cols = cols * tensor.dim + tensor.indices[:, m]
+    op = sparse.csr_matrix(
+        (tensor.values, (tensor.indices[:, open_mode - 1], cols)),
+        shape=(tensor.dim, tensor.dim ** len(closed)),
+    )
+    vectors = [np.asarray(v, dtype=np.float64) for v in list(left) + list(right)]
+    work = vectors[0]
+    for v in vectors[1:]:
+        work = np.multiply.outer(work, v)
+    return op @ work.ravel()
+
+
+def dense_symmetrize(dense):
+    """Average of a dense tensor over every permutation of its axes."""
+    perms = list(itertools.permutations(range(dense.ndim)))
+    return sum(np.transpose(dense, perm) for perm in perms) / len(perms)
 
 
 # -- canonical form and text of sparse tensors ---------------------------

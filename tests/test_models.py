@@ -9,6 +9,7 @@ import scipy.spatial
 
 from adgm.constraints import assignment_index
 from adgm.discretize import brute_force_optimum
+from adgm.harness import generate_synthetic
 from adgm.models import (
     build_pairwise_a,
     build_pairwise_b,
@@ -18,7 +19,7 @@ from adgm.models import (
     pair_geometry,
 )
 from adgm.solver import Sense, energy
-from adgm.tensor import symmetrize
+from adgm.tensor import _is_supersymmetric, symmetrize
 
 
 def entries(tensor):
@@ -461,6 +462,20 @@ class TestModelInvariants:
                 np.testing.assert_allclose(
                     averaged.values, tensor.values, rtol=1e-12, atol=1e-15
                 )
+
+    def test_third_order_tensors_are_exactly_supersymmetric(self):
+        # Bit for bit, so that every mode contracts through one half-size
+        # operator; allclose would not tell.
+        rng = np.random.default_rng(53)
+        instances = [_small_instances(rng)[3]]
+        for seed, (inliers, outliers) in enumerate([(6, 2), (8, 0), (10, 5)]):
+            p1, p2, _ = generate_synthetic(inliers, outliers, 0.02, seed=seed)
+            instances.append(build_third_order(p1, p2, knn=50, seed=seed))
+        for inst in instances:
+            third = inst.potentials[2]
+            assert third.nnz > 0
+            assert _is_supersymmetric(third)
+            assert third._half_operator() is not None
 
     def test_identity_is_optimal_on_identical_point_sets(self):
         rng = np.random.default_rng(47)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import dense_random_instance, random_instance, random_state
+from helpers import csr_builds, dense_random_instance, random_instance, random_state
 
 from adgm import solver
 from adgm.constraints import ConstraintSpec, SideMode, as_vector, feasibility
@@ -350,18 +350,19 @@ def test_two_solves_of_one_instance_build_each_operator_once(monkeypatch):
     p1, p2, _ = generate_synthetic(5, 1, 0.02, seed=3)
     inst = build_third_order(p1, p2, knn=20, triangle_budget=30, seed=0)
     assert inst.sense is Sense.MAXIMIZE
-    built = []
-    original = SparseTensor._contraction_operator
-
-    def spy(tensor, open_mode):
-        if open_mode not in tensor._contract_cache:
-            built.append((tensor.order, open_mode))
-        return original(tensor, open_mode)
-
-    monkeypatch.setattr(SparseTensor, "_contraction_operator", spy)
-    for variant in (Variant.ADGM1, Variant.ADGM2):
-        solve(inst, SolverConfig(variant=variant, max_iter=5))
-    assert sorted(built) == [(3, 1), (3, 2), (3, 3)]
+    third = inst.potentials[2]
+    values = third.values.copy()
+    values[0] = np.nextafter(values[0], np.inf)
+    nudged = SparseTensor(3, third.dim, third.indices, values)
+    nudged = replace(inst, potentials=inst.potentials[:2] + (nudged,))
+    # The supersymmetric tensor shares one operator among its three modes;
+    # one ulp off symmetry, each mode builds its own.
+    for instance, expected in ((inst, 1), (nudged, 3)):
+        built = csr_builds(monkeypatch)
+        for variant in (Variant.ADGM1, Variant.ADGM2):
+            solve(instance, SolverConfig(variant=variant, max_iter=5))
+        assert len(built) == expected
+        monkeypatch.undo()
 
 
 # -- adaptive penalty ----------------------------------------------------------

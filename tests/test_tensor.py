@@ -1,11 +1,15 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 import oracles
-from helpers import random_sparse_tensor
+from helpers import csr_builds, random_sparse_tensor
 
+from adgm import tensor as tensor_module
 from adgm.tensor import (
     SparseTensor,
+    _is_supersymmetric,
     mode_product,
     multilinear_form,
     partial_contraction,
@@ -293,6 +297,131 @@ def test_partial_contraction_validates_lengths():
         partial_contraction(t, 4, [ones, ones, ones], [])
 
 
+# -- one half-size operator for a supersymmetric order-3 tensor ------------
+
+
+def _orbit_tensor(rng, dim, count=12):
+    """Supersymmetric order-3 tensor by explicit orbit expansion: random
+    rows plus rows with ``a == b``, ``b == c`` and ``a == b == c``, each
+    stored under every distinct permutation at one value."""
+    rows = [tuple(row) for row in rng.integers(0, dim, size=(count, 3))]
+    a, b = (int(i) for i in rng.choice(dim, size=2, replace=False))
+    rows += [(a, a, b), (b, a, a), (a, b, b), (b, b, b)]
+    entries = {}
+    for row in rows:
+        value = float(rng.normal())
+        for perm in permutations(row):
+            entries[perm] = value
+    return SparseTensor.from_entries(3, dim, entries)
+
+
+def _mode_vectors(rng, dim, open_mode):
+    vectors = [rng.normal(0, 1, dim), rng.normal(0, 1, dim)]
+    return vectors[: open_mode - 1], vectors[open_mode - 1 :]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_supersymmetric_order3_contracts_through_one_half_operator(monkeypatch, dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(10):
+        t = _orbit_tensor(rng, dim)
+        assert _is_supersymmetric(t)
+        dense = oracles.dense_tensor(t)
+        built = csr_builds(monkeypatch)
+        for open_mode in (1, 2, 3):
+            left, right = _mode_vectors(rng, dim, open_mode)
+            got = partial_contraction(t, open_mode, left, right)
+            expected = oracles.dense_partial_contraction(
+                dense, open_mode - 1, left, right
+            )
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        monkeypatch.undo()
+        # Row a, column b * dim + c, only b <= c: one operator for all modes.
+        assert len(built) == 1
+        half = t._contract_cache["half"]
+        _, cols = half.nonzero()
+        assert half.nnz == np.count_nonzero(t.indices[:, 1] <= t.indices[:, 2])
+        assert np.all(cols // dim <= cols % dim)
+
+
+def _off_symmetry(rng, dim, kind):
+    t = _orbit_tensor(rng, dim)
+    # A row with two distinct indices has a permuted copy that differs.
+    k = int(np.flatnonzero(t.indices[:, 0] != t.indices[:, 1])[0])
+    indices, values = t.indices, t.values.copy()
+    if kind == "missing-copy":
+        indices, values = np.delete(indices, k, axis=0), np.delete(values, k)
+    else:
+        values[k] = np.nextafter(values[k], np.inf)
+    return SparseTensor(3, dim, indices, values)
+
+
+@pytest.mark.parametrize("kind", ["missing-copy", "one-ulp-off"])
+def test_tensor_off_symmetry_keeps_the_per_mode_operators(monkeypatch, kind):
+    rng = np.random.default_rng(11)
+    for dim in (2, 4, 7):
+        t = _off_symmetry(rng, dim, kind)
+        assert not _is_supersymmetric(t)
+        built = csr_builds(monkeypatch)
+        for open_mode in (1, 2, 3):
+            left, right = _mode_vectors(rng, dim, open_mode)
+            got = partial_contraction(t, open_mode, left, right)
+            expected = oracles.per_mode_partial_contraction(t, open_mode, left, right)
+            assert got.tobytes() == expected.tobytes()
+        monkeypatch.undo()
+        assert len(built) == 3
+        assert t._contract_cache["half"] is None
+
+
+def test_supersymmetric_tensor_beyond_the_cap_takes_the_gather_path(monkeypatch):
+    rng = np.random.default_rng(12)
+    dim = 6
+    t = _orbit_tensor(rng, dim)
+    monkeypatch.setattr(tensor_module, "_MATVEC_CAP", dim**2 - 1)
+    built = csr_builds(monkeypatch)
+    for open_mode in (1, 2, 3):
+        left, right = _mode_vectors(rng, dim, open_mode)
+        got = partial_contraction(t, open_mode, left, right)
+        closed = iter(left + right)
+        factor = t.values.copy()
+        for m in range(3):
+            if m != open_mode - 1:
+                factor *= next(closed)[t.indices[:, m]]
+        expected = np.bincount(
+            t.indices[:, open_mode - 1], weights=factor, minlength=dim
+        )
+        assert got.tobytes() == expected.tobytes()
+    assert built == []
+    assert t._contract_cache["half"] is None
+
+
+@pytest.mark.parametrize("dim", [7, (1 << 21) + 1], ids=["int64-keys", "row-sort"])
+def test_symmetry_check_with_and_without_int64_keys(dim):
+    rng = np.random.default_rng(14)
+    assert _is_supersymmetric(_orbit_tensor(rng, dim))
+    for kind in ("missing-copy", "one-ulp-off"):
+        assert not _is_supersymmetric(_off_symmetry(rng, dim, kind))
+
+
+def test_symmetry_is_checked_once_per_tensor(monkeypatch):
+    rng = np.random.default_rng(13)
+    calls = []
+    check = tensor_module._is_supersymmetric
+
+    def spy(tensor):
+        calls.append(tensor)
+        return check(tensor)
+
+    monkeypatch.setattr(tensor_module, "_is_supersymmetric", spy)
+    symmetric = _orbit_tensor(rng, 5)
+    asymmetric = _off_symmetry(rng, 5, "one-ulp-off")
+    for t in (symmetric, asymmetric):
+        for _ in range(2):
+            for open_mode in (1, 2, 3):
+                partial_contraction(t, open_mode, *_mode_vectors(rng, 5, open_mode))
+    assert calls == [symmetric, asymmetric]
+
+
 # -- symmetrize -----------------------------------------------------------
 
 
@@ -320,3 +449,18 @@ def test_symmetrize_preserves_diagonal_form():
     assert multilinear_form(symmetrize(t), [x] * 3) == pytest.approx(
         multilinear_form(t, [x] * 3), rel=1e-12, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_symmetrize_is_exactly_symmetric(order):
+    rng = np.random.default_rng(20 + order)
+    for _ in range(50):
+        t = random_sparse_tensor(rng, order, 4, nnz=int(rng.integers(1, 40)))
+        averaged = symmetrize(t)
+        assert _is_supersymmetric(averaged)
+        np.testing.assert_allclose(
+            oracles.dense_tensor(averaged),
+            oracles.dense_symmetrize(oracles.dense_tensor(t)),
+            rtol=1e-12,
+            atol=1e-15,
+        )
