@@ -36,18 +36,13 @@ from .io import (
     write_trace,
     write_truth,
 )
-from .models import MODELS, build_model
+from .models import MODELS, build_model, model_parameters
 from .solver import SolverConfig, Variant, solve
 
 _SIDE_CHOICES = ("exactly-one", "at-most-one", "unconstrained")
-# `build` flags passed to the model builder as given; a flag left out
-# takes the builder's default.
-_MODEL_PARAMS = (
-    "eta", "sigma_l", "sigma_a", "sigma2", "knn", "triangle_budget", "gamma",
-    "unary_offset", "seed",
-)
-# `build` flags naming a file that model a reads.
-_MODEL_FILES = (("edges1", read_edges), ("edges2", read_edges), ("unary", read_unary))
+# `build` flags naming a file, and the reader that turns it into the value
+# the builder takes.
+_MODEL_FILES = {"edges1": read_edges, "edges2": read_edges, "unary": read_unary}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,16 +78,21 @@ def _resolve_cli_spec(args, n1, n2):
 
 
 def _cmd_build(args):
+    given = [action for action in args.model_flags if action.dest in args]
+    taken = model_parameters(args.model)
+    for action in given:
+        if action.dest not in taken:
+            raise ValueError(f"model {args.model} does not take {action.option_strings[0]}")
     points1 = read_points(args.points1)
     points2 = read_points(args.points2)
     n1, n2 = points1.shape[0], points2.shape[0]
     spec = _resolve_cli_spec(args, n1, n2)
     truth = read_truth(args.truth, n1, n2) if args.truth else None
-    params = {name: getattr(args, name) for name in _MODEL_PARAMS if name in args}
-    if args.model == "a":
-        for name, reader in _MODEL_FILES:
-            if getattr(args, name, None):
-                params[name] = reader(getattr(args, name))
+    params = {}
+    for action in given:
+        value = getattr(args, action.dest)
+        read = _MODEL_FILES.get(action.dest)
+        params[action.dest] = read(value) if read else value
     instance = build_model(args.model, points1, points2, spec=spec, ground_truth=truth, **params)
     write_instance(args.out, instance)
     print(f"wrote {args.out}")
@@ -204,21 +204,24 @@ def build_parser():
     build.add_argument("--cols", choices=_SIDE_CHOICES, default=None)
     build.add_argument("--truth", help="ground-truth correspondence file")
     build.add_argument("--out", required=True, help="output instance file")
-    # A flag left out takes the builder's default.
+    # A flag left out takes the builder's default; a flag the builder does
+    # not take is refused.
     model = build.add_argument_group("model", argument_default=argparse.SUPPRESS)
-    model.add_argument("--eta", type=float)
-    model.add_argument("--sigma-l", type=float)
-    model.add_argument("--sigma-a", type=float)
-    model.add_argument("--sigma2", type=float)
-    model.add_argument("--knn", type=int)
-    model.add_argument("--triangles", type=int, dest="triangle_budget")
-    model.add_argument("--gamma", type=float)
-    model.add_argument("--unary", help="unary potential file (model a)")
-    model.add_argument("--unary-offset", type=float)
-    model.add_argument("--edges1", help="edge list for the first set (model a)")
-    model.add_argument("--edges2", help="edge list for the second set (model a)")
-    model.add_argument("--seed", type=int)
-    build.set_defaults(func=_cmd_build)
+    model_flags = [
+        model.add_argument("--eta", type=float),
+        model.add_argument("--sigma-l", type=float),
+        model.add_argument("--sigma-a", type=float),
+        model.add_argument("--sigma2", type=float),
+        model.add_argument("--knn", type=int),
+        model.add_argument("--triangles", type=int, dest="triangle_budget"),
+        model.add_argument("--gamma", type=float),
+        model.add_argument("--unary", help="unary potential file (model a)"),
+        model.add_argument("--unary-offset", type=float),
+        model.add_argument("--edges1", help="edge list for the first set (model a)"),
+        model.add_argument("--edges2", help="edge list for the second set (model a)"),
+        model.add_argument("--seed", type=int),
+    ]
+    build.set_defaults(func=_cmd_build, model_flags=model_flags)
 
     solve_cmd = sub.add_parser("solve", help="solve an instance file")
     solve_cmd.add_argument("instance")

@@ -15,7 +15,7 @@ from operator import add
 
 import numpy as np
 
-from .constraints import ConstraintSpec, SideMode, as_vector
+from .constraints import ConstraintSpec, SideMode, as_vector, assignment_index
 from .errors import OracleRefusalError, UnsupportedConstraintError
 
 
@@ -143,7 +143,7 @@ def _index_rows(tuples, width, batch):
 
 def _candidate_batches(spec, batch):
     """Yield every hard assignment allowed by ``spec`` as a ``(B, k)``
-    int64 array of the flat indices ``col * n1 + row`` it selects.
+    int64 array of the flat indices (``assignment_index``) it selects.
 
     Candidates are streamed from ``itertools``, at most ``batch`` per
     array; ``k`` is fixed within an array.
@@ -152,11 +152,11 @@ def _candidate_batches(spec, batch):
     if spec.row_mode is SideMode.EXACTLY_ONE:
         # Row i goes to column cols[i]; covers the square both-exact case.
         for cols in _index_rows(permutations(range(n2), n1), n1, batch):
-            yield cols * n1 + np.arange(n1)
+            yield assignment_index(np.arange(n1), cols, n1)
     elif spec.col_mode is SideMode.EXACTLY_ONE:
         # Column j takes row rows[j].
         for rows in _index_rows(permutations(range(n1), n2), n2, batch):
-            yield np.arange(n2) * n1 + rows
+            yield assignment_index(rows, np.arange(n2), n1)
     else:
         yield np.empty((1, 0), dtype=np.int64)  # nothing matched
         for k in range(1, min(n1, n2) + 1):
@@ -166,7 +166,7 @@ def _candidate_batches(spec, batch):
                 for rows in combinations(range(n1), k)
             )
             for both in _index_rows(pairs, 2 * k, batch):
-                yield both[:, k:] * n1 + both[:, :k]
+                yield assignment_index(both[:, :k], both[:, k:], n1)
 
 
 def _batch_energies(potentials, x):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .constraints import assignment_index
 from .discretize import BruteForceLimits, brute_force_optimum
 from .errors import OracleRefusalError
 from .io import _data_lines
@@ -98,7 +99,7 @@ def generate_synthetic(n_inliers, n_outliers=0, noise_sigma=0.0, transform=None,
     points2 = np.empty_like(stacked)
     points2[slots] = stacked
     truth = np.zeros(n_inliers * n2)
-    truth[slots[:n_inliers] * n_inliers + np.arange(n_inliers)] = 1.0
+    truth[assignment_index(np.arange(n_inliers), slots[:n_inliers], n_inliers)] = 1.0
     return points1, points2, truth
 
 

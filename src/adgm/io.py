@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constraints import ConstraintSpec, SideMode, as_matrix
+from .constraints import ConstraintSpec, SideMode, as_matrix, assignment_index
 from .solver import MatchingInstance, Sense
 from .tensor import SparseTensor
 
@@ -170,12 +170,25 @@ def truth_to_row_targets(truth, n1, n2):
 
 
 def row_targets_to_truth(targets, n1, n2):
-    """Inverse of truth_to_row_targets."""
-    matrix = np.zeros((n1, n2))
-    for i, j in enumerate(targets):
-        if j >= 0:
-            matrix[i, int(j)] = 1.0
-    return matrix.ravel(order="F")
+    """Inverse of truth_to_row_targets.
+
+    Raises ValueError unless ``targets`` lists one target per row, each a
+    column in ``[0, n2)`` or -1, and no column twice.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (n1,):
+        raise ValueError(f"truth must list {n1} row targets, got {targets.size}")
+    bad = np.flatnonzero((targets < -1) | (targets >= n2))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"truth target {int(targets[i])} of row {i} not in [-1, {n2})")
+    rows = np.flatnonzero(targets >= 0)
+    cols, counts = np.unique(targets[rows], return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"truth matches column {int(cols[counts > 1][0])} more than once")
+    truth = np.zeros(n1 * n2)
+    truth[assignment_index(rows, targets[rows], n1)] = 1.0
+    return truth
 
 
 def write_truth(path, truth, n1, n2):
@@ -191,8 +204,18 @@ def read_truth(path, n1, n2):
         i, j = (int(p) for p in line.split())
         if not (0 <= i < n1 and 0 <= j < n2):
             raise ValueError(f"{path}: pair ({i}, {j}) out of range")
+        if targets[i] >= 0:
+            raise ValueError(f"{path}: row {i} is listed twice")
         targets[i] = j
-    return row_targets_to_truth(targets, n1, n2)
+    return _truth_of(path, targets, n1, n2)
+
+
+def _truth_of(path, targets, n1, n2):
+    """row_targets_to_truth, with the file named in its error."""
+    try:
+        return row_targets_to_truth(targets, n1, n2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- matching instances -----------------------------------------------
@@ -263,9 +286,7 @@ def read_instance(path):
     )
     truth = None
     if truth_targets is not None:
-        if len(truth_targets) != n1:
-            raise ValueError(f"{path}: truth line must list {n1} targets")
-        truth = row_targets_to_truth(truth_targets, n1, n2)
+        truth = _truth_of(path, truth_targets, n1, n2)
     return MatchingInstance(
         n1, n2, potentials, spec, Sense.parse(fields["sense"]), truth
     )

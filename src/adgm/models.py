@@ -14,8 +14,9 @@ preserve geometry between two 2-D point sets:
   triangles and their nearest target triangles in angle space.
   Maximization.
 
-``build_model`` dispatches on a model name (``MODELS``);
-``delaunay_edges`` supplies the default graph edges of the edge-based model.
+``build_model`` dispatches on a model name (``MODELS``) and
+``model_parameters`` names what that builder takes; ``delaunay_edges``
+supplies the default graph edges of the edge-based model.
 """
 
 from __future__ import annotations
@@ -370,10 +371,7 @@ def build_third_order(
 MODELS = ("a", "b", "c", "third")
 
 
-def build_model(model, points1, points2, **params):
-    """Build an instance with the builder named by ``model`` (one of
-    ``MODELS``).  Parameters that builder does not take are dropped, and
-    parameters left out take the builder's defaults."""
+def _builder(model):
     # Looked up on each call, so that a rebound module attribute (a
     # tracing wrapper, a test double) is the builder that runs.  Such a
     # wrapper must keep the builder's signature (functools.wraps).
@@ -385,9 +383,20 @@ def build_model(model, points1, points2, **params):
     }
     if model not in builders:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    builder = builders[model]
-    accepted = inspect.signature(builder).parameters
-    return builder(
+    return builders[model]
+
+
+def model_parameters(model):
+    """Names of the parameters that the builder named by ``model`` takes."""
+    return inspect.signature(_builder(model)).parameters.keys()
+
+
+def build_model(model, points1, points2, **params):
+    """Build an instance with the builder named by ``model`` (one of
+    ``MODELS``).  Parameters that builder does not take are dropped, and
+    parameters left out take the builder's defaults."""
+    accepted = model_parameters(model)
+    return _builder(model)(
         points1, points2, **{key: value for key, value in params.items() if key in accepted}
     )
 

@@ -9,9 +9,10 @@ modes share a single dimension ``dim``.
 Tensors are stored in coordinate format (an ``(nnz, order)`` index array and
 a parallel value array) and are canonical by construction: indices sorted
 lexicographically, duplicate indices merged by summation, exact zeros
-dropped.  Instances are immutable; contraction helpers cache per-mode
-scatter matrices on first use, or a single half-size one for every mode of
-an exactly supersymmetric order-3 tensor.
+dropped.  Instances are immutable.  ``partial_contraction`` caches, on
+first use, one sparse matrix per open mode whose columns are the distinct
+closed-mode index rows that occur, or a single half-size one for every
+mode of an exactly supersymmetric order-3 tensor.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from itertools import permutations
 import numpy as np
 from scipy import sparse
 
-# Largest combined dimension of the closed modes for which a cached sparse
-# matrix is used by partial_contraction.  Beyond this the generic
-# gather-multiply-scatter path runs instead (no n**(order-1) work vector).
+# Largest dim**2 for which _half_operator builds its dense dim**2 work
+# vector; a supersymmetric order-3 tensor beyond it takes the per-mode
+# operators.
 _MATVEC_CAP = 1 << 20
 
 # Mixed-radix index keys run over [0, dim**order); int64 holds them while
@@ -120,29 +121,28 @@ class SparseTensor:
     # -- cached contraction helpers ------------------------------------
 
     def _contraction_operator(self, open_mode):
-        """Sparse matrix mapping the combined closed modes to the open mode.
+        """Sparse matrix mapping the closed-mode index rows to the open
+        mode, and those rows.
 
-        Row = index along ``open_mode``; column = mixed-radix combination of
-        the remaining mode indices in mode order.  Returns None when the
-        combined closed dimension would exceed the cache cap.
+        Row = index along ``open_mode``; column = rank, in lexicographic
+        order, of the entry's closed-mode index row (the other modes in mode
+        order) among the distinct ones stored.  The rows come back as one
+        index array per closed mode; an order-1 tensor has one empty row.
         """
-        key = open_mode
-        cached = self._contract_cache.get(key)
-        if cached is not None:
-            return cached
-        closed = [m for m in range(self.order) if m != open_mode - 1]
-        combined_dim = self.dim ** len(closed)
-        if combined_dim > _MATVEC_CAP:
-            return None
-        cols = np.zeros(self.nnz, dtype=np.int64)
-        for m in closed:
-            cols = cols * self.dim + self.indices[:, m]
-        op = sparse.csr_matrix(
-            (self.values, (self.indices[:, open_mode - 1], cols)),
-            shape=(self.dim, combined_dim),
-        )
-        self._contract_cache[key] = op
-        return op
+        cached = self._contract_cache.get(open_mode)
+        if cached is None:
+            closed = np.delete(self.indices, open_mode - 1, axis=1)
+            if self.order > 1:
+                rows, cols = _unique_rows(self.order - 1, self.dim, closed)
+            else:
+                rows, cols = closed[:1], np.zeros(self.nnz, dtype=np.int64)
+            op = sparse.csr_matrix(
+                (self.values, (self.indices[:, open_mode - 1], cols)),
+                shape=(self.dim, rows.shape[0]),
+            )
+            cached = (op, tuple(np.ascontiguousarray(rows.T)))
+            self._contract_cache[open_mode] = cached
+        return cached
 
     def _half_operator(self):
         """One sparse matrix for every mode of a supersymmetric order-3
@@ -304,39 +304,19 @@ def partial_contraction(tensor, open_mode, left, right):
     if tensor.nnz == 0:
         return np.zeros(tensor.dim)
 
-    closed = left + right
-    if tensor.order == 1:
-        cached = tensor._contract_cache.get("dense1")
-        if cached is None:
-            cached = np.bincount(
-                tensor.indices[:, 0], weights=tensor.values, minlength=tensor.dim
-            )
-            tensor._contract_cache["dense1"] = cached
-        return cached.copy()
-
     half = tensor._half_operator()
     if half is not None:
-        u, v = closed
+        u, v = left + right
         return half @ (np.column_stack((u, v)) @ np.vstack((v, u))).ravel()
 
-    op = tensor._contraction_operator(open_mode)
-    if op is not None:
-        work = closed[0]
-        for v in closed[1:]:
-            work = np.multiply.outer(work, v)
-        return op @ work.ravel()
-
-    # Generic path: gather closed-mode factors entry by entry, scatter-add.
-    factor = tensor.values.copy()
-    pos = 0
-    for m in range(tensor.order):
-        if m == open_mode - 1:
-            continue
-        factor *= closed[pos][tensor.indices[:, m]]
-        pos += 1
-    return np.bincount(
-        tensor.indices[:, open_mode - 1], weights=factor, minlength=tensor.dim
-    )
+    # Each column's product of its row's closed-mode vector entries, taken
+    # in mode order; the one empty row of an order-1 tensor has product 1.
+    op, rows = tensor._contraction_operator(open_mode)
+    factors = [v[index] for v, index in zip(left + right, rows)] or [np.ones(1)]
+    work = factors[0]
+    for factor in factors[1:]:
+        work *= factor
+    return op @ work
 
 
 def symmetrize(tensor):

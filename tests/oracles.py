@@ -76,6 +76,20 @@ def per_mode_partial_contraction(tensor, open_mode, left, right):
     return op @ work.ravel()
 
 
+def gather_partial_contraction(tensor, open_mode, left, right):
+    """``partial_contraction`` entry by entry: gather each entry's
+    closed-mode vector factors, multiply them into its value, and
+    scatter-add the products along the open mode.  No operator."""
+    closed = iter(np.asarray(v, dtype=np.float64) for v in list(left) + list(right))
+    factor = tensor.values.copy()
+    for m in range(tensor.order):
+        if m != open_mode - 1:
+            factor *= next(closed)[tensor.indices[:, m]]
+    return np.bincount(
+        tensor.indices[:, open_mode - 1], weights=factor, minlength=tensor.dim
+    )
+
+
 def dense_symmetrize(dense):
     """Average of a dense tensor over every permutation of its axes."""
     perms = list(itertools.permutations(range(dense.ndim)))

@@ -85,11 +85,32 @@ class TestCliDefaults:
         assert built == build_third_order(p1, p2, knn=7, triangle_budget=4, seed=2)
         assert built != build_third_order(p1, p2)
 
-    def test_flags_of_other_models_are_ignored(self, points):
-        p1 = read_points(points / "points1.txt")
-        p2 = read_points(points / "points2.txt")
-        built = _cli_build(points, "c", "--knn", "3", "--sigma2", "9", "--seed", "1")
-        assert built == build_pairwise_c(p1, p2)
+    @pytest.mark.parametrize(
+        "model, flag, value",
+        [("c", "--knn", "3"), ("c", "--sigma2", "9"), ("c", "--seed", "1"),
+         ("b", "--edges1", "edges.txt"), ("a", "--triangles", "4"), ("third", "--eta", "0.2")],
+    )
+    def test_flags_of_other_models_are_refused(self, tmp_path, capsys, model, flag, value):
+        # The point files do not exist: the flag is refused before any read.
+        out = tmp_path / "instance.txt"
+        code = main(["build", "--points1", str(tmp_path / "p1.txt"),
+                     "--points2", str(tmp_path / "p2.txt"),
+                     "--model", model, flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: model {model} does not take {flag}\n"
+        assert not out.exists()
+
+    def test_accepted_flags_follow_the_dispatched_builder(self, points, monkeypatch):
+        calls = []
+
+        def builder(points1, points2, knn=None, spec=None, ground_truth=None):
+            calls.append(knn)
+            return build_pairwise_c(points1, points2, spec=spec, ground_truth=ground_truth)
+
+        monkeypatch.setattr(models, "build_pairwise_c", builder)
+        _cli_build(points, "c", "--knn", "3")
+        assert calls == [3]
 
     def test_solve_seed_flag_is_gone(self, points):
         _cli_build(points, "c")

@@ -48,6 +48,30 @@ class TestUsageErrors:
         assert run("gen", "--inliers", "0", "--out", str(tmp_path)) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_instance_truth_target_out_of_range(self, tmp_path, capsys):
+        path = tmp_path / "instance.txt"
+        path.write_text(
+            "matching-instance\n"
+            "n1 2\nn2 2\nrows exactly-one\ncols exactly-one\nsense minimize\n"
+            "truth 5 0\ntensor\norder 2 dim 4\n0 3 1.0\n"
+        )
+        assert run("solve", str(path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: truth target 5 of row 0 not in [-1, 2)\n"
+        )
+
+    def test_truth_file_matching_a_column_twice(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("gen", "--inliers", "3", "--out", str(data)) == 0
+        (data / "truth.txt").write_text("0 1\n1 1\n")
+        code = run(
+            "build", "--points1", str(data / "points1.txt"),
+            "--points2", str(data / "points2.txt"), "--truth", str(data / "truth.txt"),
+            "--model", "c", "--out", str(tmp_path / "instance.txt"),
+        )
+        assert code == 1
+        assert "truth matches column 1 more than once" in capsys.readouterr().err
+
 
 class TestGen:
     def test_writes_point_and_truth_files(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Round-trip and error-path tests for the text file formats."""
 
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -254,6 +255,31 @@ class TestTruth:
         with pytest.raises(ValueError, match="out of range"):
             read_truth(path, 3, 3)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("0 1\n0 2\n", "row 0 is listed twice"), ("0 1\n2 1\n", "column 1 more than once")],
+    )
+    def test_a_row_or_column_listed_twice_is_rejected(self, tmp_path, text, message):
+        path = tmp_path / "truth.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+            read_truth(path, 3, 3)
+
+    @pytest.mark.parametrize(
+        "targets, message",
+        [([0, 1], "must list 3 row targets"), ([0, 3, -1], "target 3 of row 1 not in"),
+         ([-2, 0, 1], "target -2 of row 0 not in"), ([2, -1, 2], "column 2 more than once")],
+    )
+    def test_bad_row_targets_are_rejected(self, targets, message):
+        with pytest.raises(ValueError, match=message):
+            row_targets_to_truth(targets, 3, 3)
+
+    def test_row_targets_lay_out_column_major(self):
+        truth = row_targets_to_truth([2, -1, 0], 3, 4)
+        expected = np.zeros((3, 4))
+        expected[0, 2] = expected[2, 0] = 1.0
+        assert truth.tobytes() == expected.ravel(order="F").tobytes()
+
 
 def _sample_instance():
     n1, n2 = 2, 3
@@ -365,7 +391,22 @@ class TestInstance:
             "n1 2\nn2 2\nrows exactly-one\ncols exactly-one\nsense minimize\n"
             "truth 0\n"
         )
-        with pytest.raises(ValueError, match="truth line"):
+        with pytest.raises(ValueError, match="must list 2 row targets"):
+            read_instance(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("truth 5 0", "target 5 of row 0 not in"), ("truth 0 -2", "target -2 of row 1 not in"),
+         ("truth 1 1", "matches column 1 more than once")],
+    )
+    def test_bad_truth_targets_are_rejected(self, tmp_path, line, message):
+        path = tmp_path / "instance.txt"
+        path.write_text(
+            "matching-instance\n"
+            "n1 2\nn2 2\nrows exactly-one\ncols exactly-one\nsense minimize\n"
+            f"{line}\n"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truth {message}"):
             read_instance(path)
 
 

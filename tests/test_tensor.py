@@ -273,19 +273,64 @@ def test_partial_contraction_duality_with_form():
         )
 
 
-def test_partial_contraction_beyond_operator_cache_limit():
-    # dim**(order-1) exceeds the cached-operator budget, exercising the
-    # generic accumulation path; checked against an explicit entry loop.
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_pulls_are_byte_equal_to_the_per_mode_reference(order):
+    rng = np.random.default_rng(30 + order)
+    for _ in range(30):
+        dim = int(rng.integers(1, 7))
+        t = random_sparse_tensor(rng, order, dim, nnz=int(rng.integers(1, 40)))
+        if t._half_operator() is not None:
+            continue  # supersymmetric by chance: the half operator's test
+        for open_mode in range(1, order + 1):
+            left = [rng.normal(0, 1, dim) for _ in range(open_mode - 1)]
+            right = [rng.normal(0, 1, dim) for _ in range(order - open_mode)]
+            got = partial_contraction(t, open_mode, left, right)
+            if order == 1:
+                expected = np.bincount(t.indices[:, 0], weights=t.values, minlength=dim)
+            else:
+                expected = oracles.per_mode_partial_contraction(t, open_mode, left, right)
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("order, dim, nnz", [(3, 1100, 4000), (4, 110, 4000)])
+def test_pulls_beyond_the_old_cap_match_the_gather_reference(order, dim, nnz):
+    # One column per possible closed-index combination would need
+    # dim**(order-1) > 2**20 columns; the operator has one per stored row.
     rng = np.random.default_rng(9)
-    dim = 110
-    t = random_sparse_tensor(rng, 4, dim, nnz=50)
-    left = [rng.normal(0, 1, dim)]
-    right = [rng.normal(0, 1, dim), rng.normal(0, 1, dim)]
-    got = partial_contraction(t, 2, left, right)
-    expected = np.zeros(dim)
-    for idx, value in t.items():
-        expected[idx[1]] += value * left[0][idx[0]] * right[0][idx[2]] * right[1][idx[3]]
-    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+    t = random_sparse_tensor(rng, order, dim, nnz=nnz)
+    assert dim ** (order - 1) > 1 << 20
+    for open_mode in range(1, order + 1):
+        left = [rng.normal(0, 1, dim) for _ in range(open_mode - 1)]
+        right = [rng.normal(0, 1, dim) for _ in range(order - open_mode)]
+        got = partial_contraction(t, open_mode, left, right)
+        expected = oracles.gather_partial_contraction(t, open_mode, left, right)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        assert t._contract_cache[open_mode][0].shape[1] <= t.nnz
+
+
+def test_closed_rows_beyond_int64_keys_match_an_entry_loop():
+    # (2**21 + 1)**3 > 2**63, so the closed-mode rows of this order-4 tensor
+    # are ranked by _unique_rows' row sort.  Copy m of the first row differs
+    # from it only in mode m, so with mode m open the two share a column.
+    rng = np.random.default_rng(15)
+    dim = (1 << 21) + 1
+    base = rng.integers(0, dim, size=(4, 4))
+    copies = np.repeat(base[:1], 4, axis=0)
+    copies[np.arange(4), np.arange(4)] = rng.integers(0, dim, size=4)
+    t = SparseTensor(4, dim, np.vstack((base, copies)), rng.normal(0, 1, 8))
+    assert tensor_module._row_keys(3, dim, t.indices[:, 1:]) is None
+    vectors = [rng.normal(0, 1, dim) for _ in range(3)]
+    for open_mode in range(1, 5):
+        left, right = vectors[: open_mode - 1], vectors[open_mode - 1 :]
+        got = partial_contraction(t, open_mode, left, right)
+        expected = np.zeros(dim)
+        for idx, value in t.items():
+            closed = idx[: open_mode - 1] + idx[open_mode:]
+            expected[idx[open_mode - 1]] += value * np.prod(
+                [v[i] for v, i in zip(vectors, closed)]
+            )
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        assert t._contract_cache[open_mode][0].shape[1] == 7
 
 
 def test_partial_contraction_validates_lengths():
@@ -373,7 +418,7 @@ def test_tensor_off_symmetry_keeps_the_per_mode_operators(monkeypatch, kind):
         assert t._contract_cache["half"] is None
 
 
-def test_supersymmetric_tensor_beyond_the_cap_takes_the_gather_path(monkeypatch):
+def test_supersymmetric_tensor_beyond_the_cap_takes_the_per_mode_operators(monkeypatch):
     rng = np.random.default_rng(12)
     dim = 6
     t = _orbit_tensor(rng, dim)
@@ -382,16 +427,9 @@ def test_supersymmetric_tensor_beyond_the_cap_takes_the_gather_path(monkeypatch)
     for open_mode in (1, 2, 3):
         left, right = _mode_vectors(rng, dim, open_mode)
         got = partial_contraction(t, open_mode, left, right)
-        closed = iter(left + right)
-        factor = t.values.copy()
-        for m in range(3):
-            if m != open_mode - 1:
-                factor *= next(closed)[t.indices[:, m]]
-        expected = np.bincount(
-            t.indices[:, open_mode - 1], weights=factor, minlength=dim
-        )
+        expected = oracles.per_mode_partial_contraction(t, open_mode, left, right)
         assert got.tobytes() == expected.tobytes()
-    assert built == []
+    assert len(built) == 3
     assert t._contract_cache["half"] is None
 
 
