@@ -107,8 +107,8 @@ def _solver_config(args):
 
 
 def _cmd_solve(args):
-    instance = read_instance(args.instance)
     config = _solver_config(args)
+    instance = read_instance(args.instance)
     start = time.perf_counter()
     result = solve(instance, config, collect_trace=args.trace is not None)
     elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -82,11 +82,8 @@ class ConstraintSpec:
     def injective(cls, n1, n2):
         """Every point on the smaller side matched once, the larger side
         at most once (both exactly once when the sides are equal)."""
-        if n1 == n2:
-            return cls(n1, n2, SideMode.EXACTLY_ONE, SideMode.EXACTLY_ONE)
-        if n1 < n2:
-            return cls(n1, n2, SideMode.EXACTLY_ONE, SideMode.AT_MOST_ONE)
-        return cls(n1, n2, SideMode.AT_MOST_ONE, SideMode.EXACTLY_ONE)
+        exact, at_most = SideMode.EXACTLY_ONE, SideMode.AT_MOST_ONE
+        return cls(n1, n2, exact if n1 <= n2 else at_most, exact if n2 <= n1 else at_most)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from operator import add
 
 import numpy as np
 
-from .constraints import ConstraintSpec, SideMode, as_vector, assignment_index
+from .constraints import SideMode, assignment_index
 from .errors import OracleRefusalError, UnsupportedConstraintError
 
 
@@ -83,12 +83,13 @@ def _assignment_min_cost(cost):
 
 
 def require_one_to_one(spec):
-    """Raise UnsupportedConstraintError unless ``hungarian`` can
-    discretize under ``spec``: no side may be unconstrained."""
+    """Raise UnsupportedConstraintError unless every side of ``spec`` is
+    matched exactly once or at most once, the only specs that
+    ``hungarian`` discretizes and ``brute_force_optimum`` enumerates."""
     if SideMode.UNCONSTRAINED in (spec.row_mode, spec.col_mode):
         raise UnsupportedConstraintError(
-            "many-to-many sides have no one-to-one discretization; "
-            "threshold the continuous solution instead"
+            "an unconstrained side has no one-to-one discretization or "
+            "enumeration; threshold the continuous solution instead"
         )
 
 
@@ -110,25 +111,21 @@ def hungarian(profit, spec):
     require_one_to_one(spec)
 
     n1, n2 = spec.n1, spec.n2
-    if spec.row_mode is SideMode.EXACTLY_ONE and spec.col_mode is SideMode.EXACTLY_ONE:
-        size = n1  # spec guarantees n1 == n2 here
-    elif spec.row_mode is SideMode.EXACTLY_ONE:
-        size = n2  # dummy rows absorb the surplus columns
-    elif spec.col_mode is SideMode.EXACTLY_ONE:
-        size = n1  # dummy columns absorb the surplus rows
-    else:
-        size = n1 + n2  # every real point may go unmatched
+    # Dummies on an exactly-one side, the smaller one, absorb the other
+    # side's surplus; with none, every real point may go unmatched.
+    exact = SideMode.EXACTLY_ONE in (spec.row_mode, spec.col_mode)
+    size = max(n1, n2) if exact else n1 + n2
 
     padded = np.zeros((size, size))
     padded[:n1, :n2] = profit
     match_row = _assignment_min_cost(-padded)
 
-    matrix = np.zeros((n1, n2))
-    for j in range(1, size + 1):
-        i = int(match_row[j])
-        if 1 <= i <= n1 and j <= n2:
-            matrix[i - 1, j - 1] = 1.0
-    return as_vector(matrix)
+    # 0-based row of each real column; rows past n1 are dummies.
+    rows = match_row[1 : n2 + 1] - 1
+    real = rows < n1
+    x = np.zeros(spec.n)
+    x[assignment_index(rows[real], np.flatnonzero(real), n1)] = 1.0
+    return x
 
 
 def _index_rows(tuples, width, batch):
@@ -189,13 +186,9 @@ def _batch_energies(potentials, x):
 
 def _candidate_count(spec):
     n1, n2 = spec.n1, spec.n2
-    row_exact = spec.row_mode is SideMode.EXACTLY_ONE
-    col_exact = spec.col_mode is SideMode.EXACTLY_ONE
-    if row_exact and col_exact:
-        return factorial(n1)
-    if row_exact:
+    if spec.row_mode is SideMode.EXACTLY_ONE:
         return perm(n2, n1)
-    if col_exact:
+    if spec.col_mode is SideMode.EXACTLY_ONE:
         return perm(n1, n2)
     return sum(comb(n1, k) * comb(n2, k) * factorial(k) for k in range(min(n1, n2) + 1))
 
@@ -214,14 +207,8 @@ def brute_force_optimum(instance, limits=None):
     if limits is None:
         limits = BruteForceLimits()
     spec = instance.spec
-    if SideMode.UNCONSTRAINED in (spec.row_mode, spec.col_mode):
-        raise UnsupportedConstraintError(
-            "brute force enumerates one-to-one assignments only"
-        )
-    both_soft = (
-        spec.row_mode is SideMode.AT_MOST_ONE and spec.col_mode is SideMode.AT_MOST_ONE
-    )
-    if both_soft:
+    require_one_to_one(spec)
+    if SideMode.EXACTLY_ONE not in (spec.row_mode, spec.col_mode):
         if max(spec.n1, spec.n2) > limits.max_occluded:
             raise OracleRefusalError(
                 f"occlusion enumeration needs n1, n2 <= {limits.max_occluded}, "

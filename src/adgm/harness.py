@@ -22,7 +22,7 @@ from .constraints import assignment_index
 from .discretize import BruteForceLimits, brute_force_optimum
 from .errors import OracleRefusalError
 from .io import _data_lines
-from .models import MODELS, build_model
+from .models import MODELS, build_model, model_parameters
 from .solver import SolverConfig, Variant, energy, solve
 
 logger = logging.getLogger(__name__)
@@ -162,6 +162,13 @@ class ExperimentConfig:
             raise ValueError(f"sweep must be one of {_SWEEPS}, got {self.sweep!r}")
         if not self.values:
             raise ValueError("at least one sweep value is required")
+        repeated = [v for i, v in enumerate(self.values) if v in self.values[:i]]
+        if repeated:
+            raise ValueError(f"sweep value {repeated[0]} is listed more than once")
+        taken = model_parameters(self.model)
+        for key in _MODEL_KEYS:
+            if getattr(self, key) is not None and _PARAMETER.get(key, key) not in taken:
+                raise ValueError(f"model {self.model} does not take {key!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.methods:
@@ -184,7 +191,7 @@ class ExperimentConfig:
 def _build_instance(config, points1, points2, truth, model_seed):
     # Only the fields that are set: the rest take the builder's defaults.
     params = {
-        "triangle_budget" if name == "triangles" else name: getattr(config, name)
+        _PARAMETER.get(name, name): getattr(config, name)
         for name in _MODEL_KEYS
         if getattr(config, name) is not None
     }
@@ -384,6 +391,8 @@ _MODEL_KEYS = {
     "knn": int,
     "triangles": int,
 }
+# Model keys whose builder parameter has another name.
+_PARAMETER = {"triangles": "triangle_budget"}
 _EXPERIMENT_KEYS = {
     "methods": _methods,
     "model": str.lower,

@@ -38,6 +38,19 @@ def _format_rows(fmt, columns):
     return [fmt % row for row in zip(*(c.tolist() for c in columns))]
 
 
+def _ints(path, line, count, need):
+    """The ``count`` integer fields of the data line ``line``; otherwise a
+    ValueError that names the file, says what the line ``need``s and
+    quotes it."""
+    parts = line.split()
+    if len(parts) == count:
+        try:
+            return [int(p) for p in parts]
+        except ValueError:
+            pass
+    raise ValueError(f"{path}: {need}, got {line!r}")
+
+
 def _parse_rows(lines, dtype):
     """Parse whitespace-separated data lines (no comments, no blank lines)
     into a 1-D structured array of ``dtype``.
@@ -65,7 +78,7 @@ def read_points(path):
     lines = list(_data_lines(Path(path).read_text()))
     if not lines:
         raise ValueError(f"{path}: empty point file")
-    count = int(lines[0])
+    (count,) = _ints(path, lines[0], 1, "the header needs one point count")
     if len(lines) - 1 != count:
         raise ValueError(f"{path}: expected {count} points, found {len(lines) - 1}")
     try:
@@ -85,13 +98,10 @@ def write_edges(path, edges):
 
 
 def read_edges(path):
-    edges = []
-    for line in _data_lines(Path(path).read_text()):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: edge lines need two indices, got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return edges
+    return [
+        tuple(_ints(path, line, 2, "edge lines need two indices"))
+        for line in _data_lines(Path(path).read_text())
+    ]
 
 
 # -- unary score matrices ---------------------------------------------
@@ -109,7 +119,7 @@ def read_unary(path):
     lines = list(_data_lines(Path(path).read_text()))
     if not lines:
         raise ValueError(f"{path}: empty unary file")
-    n1, n2 = (int(p) for p in lines[0].split())
+    n1, n2 = _ints(path, lines[0], 2, "the header needs two sizes 'n1 n2'")
     try:
         matrix = _parse_rows(lines[1:], [("row", np.float64, (n2,))])["row"]
     except ValueError as exc:
@@ -201,7 +211,7 @@ def write_truth(path, truth, n1, n2):
 def read_truth(path, n1, n2):
     targets = np.full(n1, -1, dtype=np.int64)
     for line in _data_lines(Path(path).read_text()):
-        i, j = (int(p) for p in line.split())
+        i, j = _ints(path, line, 2, "truth lines need two indices 'i j'")
         if not (0 <= i < n1 and 0 <= j < n2):
             raise ValueError(f"{path}: pair ({i}, {j}) out of range")
         if targets[i] >= 0:

@@ -80,11 +80,6 @@ class Variant(Enum):
         return pairs, tuple(map(tuple, links))
 
 
-class SetLabel(Enum):
-    ROWWISE = "rowwise"
-    COLWISE = "colwise"
-
-
 @dataclass(frozen=True)
 class MatchingInstance:
     """A matching problem: potentials of orders 1..D plus constraints."""
@@ -136,7 +131,8 @@ class MatchingInstance:
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver parameters.  ``rho0`` and ``eps`` default to n-dependent
-    values (n/1000 and 1e-6*n) resolved when the solve starts."""
+    values (n/1000 and 1e-6*n) resolved when the solve starts.  Invalid
+    values raise ConfigurationError when the config is built."""
 
     variant: Variant = Variant.ADGM1
     rho0: float | None = None
@@ -145,6 +141,9 @@ class SolverConfig:
     beta: float = 2.0
     eps: float | None = None
     max_iter: int = 10000
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if self.rho0 is not None and not self.rho0 > 0:
@@ -201,13 +200,6 @@ def energy(instance, x):
     return sum(
         multilinear_form(tensor, [x] * tensor.order) for tensor in instance.potentials
     )
-
-
-def assign_constraint_sets(D):
-    """Alternate row and column constraint sets over the D blocks."""
-    if D < 2:
-        raise ValueError("constraint assignment needs at least two blocks")
-    return [SetLabel.ROWWISE if d % 2 == 1 else SetLabel.COLWISE for d in range(1, D + 1)]
 
 
 def _tensor_pull(instance, d, blocks):
@@ -344,7 +336,6 @@ def solve(instance, config=None, collect_trace=False):
     """
     if config is None:
         config = SolverConfig()
-    config.validate()
     # The result is discretized by hungarian: refuse before iterating.
     require_one_to_one(instance.spec)
 
@@ -353,22 +344,22 @@ def solve(instance, config=None, collect_trace=False):
     D = max(2, instance.order)
     rho0 = config.rho0 if config.rho0 is not None else n / 1000.0
     eps = config.eps if config.eps is not None else 1e-6 * n
-    labels = assign_constraint_sets(D)
-    projectors = [
-        project_rowwise if label is SetLabel.ROWWISE else project_colwise
-        for label in labels
-    ]
 
     state = _initial_state(instance, D, rho0)
     trace = [] if collect_trace else None
     converged = False
     start = time.perf_counter()
     for k in range(1, config.max_iter + 1):
-        for d in range(D):
-            np.copyto(state.prev_blocks[d], state.blocks[d])
+        # Every projection returns a fresh array, so the blocks of the last
+        # sweep are never written again.
+        state.prev_blocks = list(state.blocks)
         for d in range(1, D + 1):
             target = projection_target(config.variant, d, state, instance)
-            state.blocks[d - 1] = projectors[d - 1](target, instance.spec)
+            # Odd blocks carry the row constraints, even blocks the columns.
+            # Looked up on each call, so a rebound module attribute (a
+            # tracing wrapper, a test double) is the projection that runs.
+            project = project_rowwise if d % 2 else project_colwise
+            state.blocks[d - 1] = project(target, instance.spec)
         update_multipliers(state, config.variant, state.rho)
         r = residual(state, config.variant)
         state.iteration = k

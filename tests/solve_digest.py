@@ -1,0 +1,166 @@
+"""Print one digest of everything the solver stack computes on a fixed set.
+
+Run it on two checkouts to check that a change leaves results
+byte-identical::
+
+    python3 tests/solve_digest.py
+
+It imports the ``adgm`` package of the checkout it lives in and hashes:
+
+- every ``SolverResult`` field except ``wall_time``, traced, for both
+  variants, on models a, b, c and third (seeds 0-2, 6 inliers plus 2
+  outliers) and on 30 random instances (sizes 1-4, orders 1-3, both
+  senses, every exactly-one / at-most-one side combination the sizes
+  allow);
+- ``brute_force_optimum`` on the random instances;
+- ``hungarian`` on random and on tie-heavy integer profits;
+- ``ConstraintSpec.injective`` for sizes 1-5;
+- the ``trials.csv`` and ``summary.csv`` of one ``adgm bench`` sweep,
+  without their time columns.
+
+Floats are hashed bit for bit, so a digest depends on the platform and
+its numpy build: compare digests taken on one machine.  Pytest does not
+collect this file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import hashlib
+import io
+import sys
+import tempfile
+from dataclasses import fields
+from enum import Enum
+from itertools import product
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from adgm.cli import main as cli_main  # noqa: E402
+from adgm.constraints import ConstraintSpec, SideMode  # noqa: E402
+from adgm.discretize import brute_force_optimum, hungarian  # noqa: E402
+from adgm.harness import generate_synthetic  # noqa: E402
+from adgm.models import MODELS, build_model  # noqa: E402
+from adgm.solver import MatchingInstance, Sense, SolverConfig, Variant, solve  # noqa: E402
+from adgm.tensor import SparseTensor  # noqa: E402
+
+ONE_TO_ONE = (SideMode.EXACTLY_ONE, SideMode.AT_MOST_ONE)
+BENCH_CONFIG = """\
+model = a
+values = 0,1
+inliers = 5
+trials = 2
+methods = adgm1,adgm2
+seed = 4
+"""
+TIME_COLUMNS = {"time_ms", "mean_time_ms"}
+
+
+def feed(digest, value):
+    """Hash ``value`` with its type and shape, floats bit for bit."""
+    if isinstance(value, np.ndarray):
+        digest.update(f"array{value.shape}{value.dtype.str}".encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, np.generic):
+        feed(digest, value.item())
+    elif isinstance(value, float):
+        digest.update(b"f" + value.hex().encode())
+    elif isinstance(value, (list, tuple)):
+        digest.update(f"seq{len(value)}".encode())
+        for item in value:
+            feed(digest, item)
+    elif isinstance(value, Enum):
+        feed(digest, value.value)
+    else:  # bool, int, str, None
+        digest.update(f"{type(value).__name__}:{value!r}".encode())
+
+
+def feed_solves(digest, instance):
+    for variant in Variant:
+        result = solve(instance, SolverConfig(variant=variant), collect_trace=True)
+        for f in fields(result):
+            if f.name != "wall_time":
+                feed(digest, (f.name, getattr(result, f.name)))
+
+
+def random_tensor(rng, order, dim):
+    nnz = min(dim**order, 2 * dim)
+    indices = rng.integers(0, dim, size=(nnz, order))
+    return SparseTensor(order, dim, indices, rng.normal(0.0, 1.0, nnz))
+
+
+def one_to_one_specs(n1, n2):
+    """Every exactly-one / at-most-one spec that ``n1 x n2`` allows."""
+    for rows, cols in product(ONE_TO_ONE, ONE_TO_ONE):
+        if rows is SideMode.EXACTLY_ONE and n1 > n2:
+            continue
+        if cols is SideMode.EXACTLY_ONE and n2 > n1:
+            continue
+        yield ConstraintSpec(n1, n2, rows, cols)
+
+
+def feed_models(digest):
+    for model, seed in product(MODELS, range(3)):
+        points1, points2, truth = generate_synthetic(6, 2, 0.02, seed=seed)
+        instance = build_model(model, points1, points2, seed=seed, ground_truth=truth)
+        feed_solves(digest, instance)
+
+
+def feed_random(digest):
+    rng = np.random.default_rng(2017)
+    for _ in range(30):
+        n1, n2, order = (int(v) for v in rng.integers(1, [5, 5, 4]))
+        sense = Sense.MAXIMIZE if rng.random() < 0.5 else Sense.MINIMIZE
+        n = n1 * n2
+        potentials = tuple(random_tensor(rng, k, n) for k in range(1, order + 1))
+        for spec in one_to_one_specs(n1, n2):
+            instance = MatchingInstance(n1, n2, potentials, spec, sense)
+            feed_solves(digest, instance)
+            feed(digest, brute_force_optimum(instance))
+
+
+def feed_hungarian(digest):
+    rng = np.random.default_rng(1611)
+    for n1, n2 in product(range(1, 6), repeat=2):
+        for spec in one_to_one_specs(n1, n2):
+            feed(digest, hungarian(rng.normal(0.0, 1.0, (n1, n2)), spec))
+            ties = rng.integers(-2, 3, (n1, n2)).astype(np.float64)
+            feed(digest, hungarian(ties, spec))
+
+
+def feed_injective(digest):
+    for n1, n2 in product(range(1, 6), repeat=2):
+        spec = ConstraintSpec.injective(n1, n2)
+        feed(digest, (spec.n1, spec.n2, spec.row_mode, spec.col_mode))
+
+
+def feed_bench(digest):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "sweep.cfg"
+        config.write_text(BENCH_CONFIG)
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli_main(["bench", str(config), "--out", str(out)])
+        feed(digest, status)
+        for name in ("trials.csv", "summary.csv"):
+            with open(out / name, newline="") as handle:
+                for row in csv.DictReader(handle):
+                    feed(digest, [(k, v) for k, v in row.items() if k not in TIME_COLUMNS])
+
+
+def main():
+    digest = hashlib.blake2b(digest_size=16)
+    feed_models(digest)
+    feed_random(digest)
+    feed_hungarian(digest)
+    feed_injective(digest)
+    feed_bench(digest)
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

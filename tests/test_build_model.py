@@ -222,10 +222,10 @@ class TestConfigValues:
 
     def test_empty_rho0_and_eps_mean_the_default(self, tmp_path):
         path = tmp_path / "bench.cfg"
-        path.write_text("model = c\nvalues = 0\nrho0 =\neps =\nt1 = 40\n")
+        path.write_text("model = c\nvalues = 0\nrho0 =\neps =\nt1 = 400\n")
         config = read_experiment_config(path)
         (_, solver_config), = config.methods
-        assert (solver_config.rho0, solver_config.eps, solver_config.t1) == (None, None, 40)
+        assert (solver_config.rho0, solver_config.eps, solver_config.t1) == (None, None, 400)
 
     def test_model_parameters_left_out_stay_unset(self, tmp_path):
         path = tmp_path / "bench.cfg"

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from adgm import harness
 from adgm.cli import main
 from adgm.constraints import SideMode
 from adgm.io import read_instance, read_points, read_truth
@@ -71,6 +72,26 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "truth matches column 1 more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text, flag",
+        [("truth.txt", "0 1 2\n", "--truth"), ("unary.txt", "3 3 3\n", "--unary")],
+    )
+    def test_malformed_build_input_names_the_file_and_line(
+        self, tmp_path, capsys, name, text, flag
+    ):
+        data = tmp_path / "data"
+        assert run("gen", "--inliers", "3", "--out", str(data)) == 0
+        (data / name).write_text(text)
+        code = run(
+            "build", "--points1", str(data / "points1.txt"),
+            "--points2", str(data / "points2.txt"), flag, str(data / name),
+            "--model", "a", "--out", str(tmp_path / "instance.txt"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data / name}: ")
+        assert err.endswith(f"got {text.strip()!r}\n")
 
 
 class TestGen:
@@ -211,6 +232,10 @@ class TestSolve:
         assert run("solve", str(instance_path), "--beta", "0.5") == 2
         assert "refused:" in capsys.readouterr().err
 
+    def test_bad_solver_configuration_is_refused_before_reading(self, tmp_path, capsys):
+        assert run("solve", str(tmp_path / "missing.txt"), "--beta", "0.5") == 2
+        assert capsys.readouterr().err.startswith("refused: beta must be > 1")
+
 
 class TestOracle:
     def test_finds_optimum_and_writes_solution(self, tmp_path, capsys):
@@ -272,3 +297,26 @@ class TestBench:
         config_path.write_text("model = c\n")
         assert run("bench", str(config_path)) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("beta = 0.5\n", 2, "refused: beta must be > 1"),
+            ("eta = 0.4\nknn = 3\n", 1, "error: model b does not take 'eta'"),
+            ("values = 1,1\n", 1, "error: sweep value 1 is listed more than once"),
+        ],
+    )
+    def test_bad_config_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, text, code, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(harness, "generate_synthetic", never)
+        monkeypatch.setattr(harness, "brute_force_optimum", never)
+        out_dir = tmp_path / "reports"
+        config_path = tmp_path / "bench.cfg"
+        config_path.write_text(f"model = b\nvalues = 0\ninliers = 3\n{text}")
+        assert run("bench", str(config_path), "--out", str(out_dir)) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out_dir.exists()

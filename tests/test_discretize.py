@@ -188,20 +188,21 @@ def test_brute_force_refuses_unconstrained():
 
 
 def test_brute_force_agrees_with_hungarian_on_unary_instances():
-    # for pure order-1 potentials the two must find the same optimum
+    # for pure order-1 potentials the two must find the same optimum, also
+    # on integer profits where many assignments tie
     rng = np.random.default_rng(48)
-    for row_mode, col_mode, n1, n2 in [
-        (SideMode.EXACTLY_ONE, SideMode.EXACTLY_ONE, 4, 4),
-        (SideMode.EXACTLY_ONE, SideMode.AT_MOST_ONE, 3, 5),
-        (SideMode.AT_MOST_ONE, SideMode.AT_MOST_ONE, 4, 4),
-    ]:
+    for row_mode, col_mode, n1, n2 in SIDE_MODES:
         spec = ConstraintSpec(n1, n2, row_mode, col_mode)
-        for _ in range(10):
-            values = rng.normal(0.0, 1.0, n1 * n2)
+        for trial in range(20):
+            if trial % 2:
+                values = rng.integers(-2, 3, n1 * n2).astype(np.float64)
+            else:
+                values = rng.normal(0.0, 1.0, n1 * n2)
             tensor = SparseTensor(1, n1 * n2, np.arange(n1 * n2)[:, None], values)
             inst = MatchingInstance(n1, n2, (tensor,), spec, Sense.MAXIMIZE)
             _, best = brute_force_optimum(inst)
             x = hungarian(as_matrix(values, n1, n2), spec)
+            assert feasibility(x, spec, hard=True).feasible
             assert float(values @ x) == pytest.approx(best, abs=1e-12)
 
 
@@ -312,6 +313,10 @@ def test_refusals_raise_before_any_candidate_is_scored(monkeypatch):
         brute_force_optimum(
             random_instance(rng, 4, 4), BruteForceLimits(max_candidates=23)
         )
-    spec = ConstraintSpec(2, 2, SideMode.UNCONSTRAINED, SideMode.EXACTLY_ONE)
-    with pytest.raises(UnsupportedConstraintError):
-        brute_force_optimum(MatchingInstance(2, 2, (SparseTensor.empty(1, 4),), spec))
+    monkeypatch.setattr(discretize, "_candidate_count", never)
+    free = SideMode.UNCONSTRAINED
+    for modes in ((free, EXACT), (EXACT, free), (free, SOFT), (free, free)):
+        spec = ConstraintSpec(2, 2, *modes)
+        inst = MatchingInstance(2, 2, (SparseTensor.empty(1, 4),), spec)
+        with pytest.raises(UnsupportedConstraintError, match="one-to-one discretization"):
+            brute_force_optimum(inst)

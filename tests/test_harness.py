@@ -137,6 +137,14 @@ class TestExperimentConfig:
             ExperimentConfig(model="c", values=())
         with pytest.raises(ValueError, match="method"):
             ExperimentConfig(model="c", values=(0,), methods=())
+        with pytest.raises(ValueError, match="sweep value 2 is listed more than once"):
+            ExperimentConfig(model="c", values=(0, 2, 1, 2))
+        with pytest.raises(ValueError, match="model c does not take 'knn'"):
+            ExperimentConfig(model="c", values=(0,), knn=3)
+        with pytest.raises(ValueError, match="model a does not take 'triangles'"):
+            ExperimentConfig(model="a", values=(0,), triangles=4)
+        with pytest.raises(ValueError, match="model third does not take 'eta'"):
+            ExperimentConfig(model="third", values=(0,), eta=0.5)
 
 
 class TestReadExperimentConfig:

@@ -69,6 +69,14 @@ class TestPoints:
         with pytest.raises(ValueError, match="empty"):
             read_points(path)
 
+    @pytest.mark.parametrize("header", ["2 2", "x", "1.5"])
+    def test_bad_count_header_names_the_file_and_line(self, tmp_path, header):
+        path = tmp_path / "points.txt"
+        path.write_text(f"{header}\n0.0 1.0\n2.0 3.0\n")
+        message = f"^{re.escape(str(path))}: .*point count, got '{re.escape(header)}'$"
+        with pytest.raises(ValueError, match=message):
+            read_points(path)
+
 
 class TestEdges:
     def test_round_trip(self, tmp_path):
@@ -82,10 +90,12 @@ class TestEdges:
         write_edges(path, [])
         assert read_edges(path) == []
 
-    def test_bad_line_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line", ["0 1 2", "0 x", "1"])
+    def test_bad_line_is_rejected(self, tmp_path, line):
         path = tmp_path / "edges.txt"
-        path.write_text("0 1 2\n")
-        with pytest.raises(ValueError, match="two indices"):
+        path.write_text(f"0 1\n{line}\n")
+        message = f"^{re.escape(str(path))}: .*two indices, got '{line}'$"
+        with pytest.raises(ValueError, match=message):
             read_edges(path)
 
 
@@ -113,6 +123,14 @@ class TestUnary:
         path = tmp_path / "unary.txt"
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
+            read_unary(path)
+
+    @pytest.mark.parametrize("header", ["2 2 2", "2", "2 x"])
+    def test_bad_header_names_the_file_and_line(self, tmp_path, header):
+        path = tmp_path / "unary.txt"
+        path.write_text(f"{header}\n1.0 2.0\n3.0 4.0\n")
+        message = f"^{re.escape(str(path))}: .*two sizes 'n1 n2', got '{header}'$"
+        with pytest.raises(ValueError, match=message):
             read_unary(path)
 
 
@@ -248,6 +266,14 @@ class TestTruth:
         path = tmp_path / "truth.txt"
         write_truth(path, truth, 3, 3)
         assert np.array_equal(read_truth(path, 3, 3), truth)
+
+    @pytest.mark.parametrize("line", ["0 1 2", "0 x", "2"])
+    def test_malformed_line_names_the_file_and_line(self, tmp_path, line):
+        path = tmp_path / "truth.txt"
+        path.write_text(f"1 0\n{line}\n")
+        message = f"^{re.escape(str(path))}: .*two indices 'i j', got '{line}'$"
+        with pytest.raises(ValueError, match=message):
+            read_truth(path, 3, 3)
 
     def test_out_of_range_pair_is_rejected(self, tmp_path):
         path = tmp_path / "truth.txt"

@@ -15,12 +15,10 @@ from adgm.models import build_pairwise_c, build_third_order
 from adgm.solver import (
     MatchingInstance,
     Sense,
-    SetLabel,
     SolverConfig,
     SolverState,
     Variant,
     adapt_penalty,
-    assign_constraint_sets,
     energy,
     projection_target,
     residual,
@@ -111,16 +109,25 @@ def test_energy_validates_shape():
         energy(inst, np.ones(5))
 
 
-# -- constraint-set assignment ---------------------------------------------
+# -- constraint sets of the blocks ------------------------------------------
 
 
-def test_assign_constraint_sets():
-    R, C = SetLabel.ROWWISE, SetLabel.COLWISE
-    assert assign_constraint_sets(2) == [R, C]
-    assert assign_constraint_sets(3) == [R, C, R]
-    assert assign_constraint_sets(4) == [R, C, R, C]
-    with pytest.raises(ValueError):
-        assign_constraint_sets(1)
+@pytest.mark.parametrize("variant", [Variant.ADGM1, Variant.ADGM2])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_odd_blocks_project_on_rows_and_even_blocks_on_columns(monkeypatch, order, variant):
+    calls = []
+    for name in ("project_rowwise", "project_colwise"):
+
+        def spy(x, spec, name=name, project=getattr(solver, name)):
+            calls.append(name)
+            return project(x, spec)
+
+        monkeypatch.setattr(solver, name, spy)
+    inst = random_instance(np.random.default_rng(order), 2, 3, max_order=order)
+    result = solve(inst, SolverConfig(variant=variant, max_iter=4))
+    sweep = ["project_rowwise", "project_colwise", "project_rowwise", "project_colwise"]
+    assert result.iterations >= 1
+    assert calls == sweep[:order] * result.iterations
 
 
 # -- projection targets ------------------------------------------------------
