@@ -39,7 +39,6 @@ from .io import (
 from .models import MODELS, build_model, model_parameters
 from .solver import SolverConfig, Variant, solve
 
-_SIDE_CHOICES = ("exactly-one", "at-most-one", "unconstrained")
 # `build` flags naming a file, and the reader that turns it into the value
 # the builder takes.
 _MODEL_FILES = {"edges1": read_edges, "edges2": read_edges, "unary": read_unary}
@@ -171,7 +170,7 @@ def _cmd_oracle(args):
 def _add_solver_flags(parser):
     # A flag left out takes the SolverConfig default.
     group = parser.add_argument_group("solver", argument_default=argparse.SUPPRESS)
-    group.add_argument("--variant", choices=("adgm1", "adgm2"))
+    group.add_argument("--variant", choices=[v.value for v in Variant])
     group.add_argument("--rho0", type=float, help="initial penalty (default n/1000)")
     group.add_argument("--t1", type=int)
     group.add_argument("--t2", type=int)
@@ -200,8 +199,9 @@ def build_parser():
     build.add_argument("--points1", required=True)
     build.add_argument("--points2", required=True)
     build.add_argument("--model", choices=MODELS, required=True)
-    build.add_argument("--rows", choices=_SIDE_CHOICES, default=None)
-    build.add_argument("--cols", choices=_SIDE_CHOICES, default=None)
+    sides = [mode.value for mode in SideMode]
+    build.add_argument("--rows", choices=sides, default=None)
+    build.add_argument("--cols", choices=sides, default=None)
     build.add_argument("--truth", help="ground-truth correspondence file")
     build.add_argument("--out", required=True, help="output instance file")
     # A flag left out takes the builder's default; a flag the builder does

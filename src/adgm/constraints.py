@@ -11,6 +11,7 @@ unconstrained.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,20 +21,28 @@ import numpy as np
 FEASIBILITY_TOL = 1e-9
 
 
-class SideMode(Enum):
+class TextEnum(Enum):
+    """An enum read from text by its values, which are lower-case words
+    joined by ``-``."""
+
+    @classmethod
+    def parse(cls, text):
+        """The member spelled ``text``, ignoring case, surrounding blanks
+        and ``_`` for ``-``.  Anything else raises ValueError naming the
+        enum: ``SideMode`` says ``unknown side mode 'x'``."""
+        try:
+            return cls(str(text).strip().lower().replace("_", "-"))
+        except ValueError:
+            noun = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", cls.__name__).lower()
+            raise ValueError(f"unknown {noun} {text!r}") from None
+
+
+class SideMode(TextEnum):
     """How one side of the matching constrains its sums."""
 
     EXACTLY_ONE = "exactly-one"
     AT_MOST_ONE = "at-most-one"
     UNCONSTRAINED = "unconstrained"
-
-    @classmethod
-    def parse(cls, text):
-        key = str(text).strip().lower().replace("_", "-")
-        for mode in cls:
-            if mode.value == key:
-                return mode
-        raise ValueError(f"unknown side mode {text!r}")
 
 
 class SimplexMode(Enum):
@@ -126,17 +135,15 @@ def project_simplex(v, mode):
 def _project_rows(rows, mode):
     """Project each row of a 2-D array onto the chosen simplex variant."""
     rows = np.asarray(rows, dtype=np.float64)
-    if mode is SimplexMode.NONNEGATIVE_ONLY:
-        return np.maximum(rows, 0.0)
-
+    if mode is SimplexMode.SUM_EQUALS_ONE:
+        return _project_rows_equality(rows)
     clipped = np.maximum(rows, 0.0)
-    if mode is SimplexMode.SUM_AT_MOST_ONE:
-        inside = clipped.sum(axis=1) <= 1.0
-        if np.all(inside):
-            return clipped
-        equality = _project_rows_equality(rows)
-        return np.where(inside[:, None], clipped, equality)
-    return _project_rows_equality(rows)
+    if mode is SimplexMode.NONNEGATIVE_ONLY:
+        return clipped
+    inside = clipped.sum(axis=1) <= 1.0
+    if np.all(inside):
+        return clipped
+    return np.where(inside[:, None], clipped, _project_rows_equality(rows))
 
 
 def _project_rows_equality(rows):

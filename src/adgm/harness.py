@@ -162,7 +162,7 @@ class ExperimentConfig:
             raise ValueError(f"sweep must be one of {_SWEEPS}, got {self.sweep!r}")
         if not self.values:
             raise ValueError("at least one sweep value is required")
-        repeated = [v for i, v in enumerate(self.values) if v in self.values[:i]]
+        repeated = _repeated(self.values)
         if repeated:
             raise ValueError(f"sweep value {repeated[0]} is listed more than once")
         taken = model_parameters(self.model)
@@ -173,6 +173,10 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.methods:
             raise ValueError("at least one solver method is required")
+        # Trials and summary rows are keyed by method name.
+        repeated = _repeated([name for name, _ in self.methods])
+        if repeated:
+            raise ValueError(f"method {repeated[0]!r} is listed more than once")
         for value in self.values:
             n_inliers, n_outliers = self.resolve_sizes(value)
             if n_inliers < 1 or n_outliers < 0:
@@ -186,6 +190,11 @@ class ExperimentConfig:
         if self.sweep == "outliers":
             return self.inliers, int(value)
         return int(value), self.total - int(value)
+
+
+def _repeated(items):
+    """The items of ``items`` equal to an earlier one, in order."""
+    return [v for i, v in enumerate(items) if v in items[:i]]
 
 
 def _build_instance(config, points1, points2, truth, model_seed):
@@ -428,6 +437,8 @@ def read_experiment_config(path):
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}: unknown config key {key!r}")
+        if key in entries:
+            raise ValueError(f"{path}: config key {key!r} is given twice")
         entries[key] = value.strip()
 
     if "model" not in entries:

@@ -38,12 +38,13 @@ def _format_rows(fmt, columns):
     return [fmt % row for row in zip(*(c.tolist() for c in columns))]
 
 
-def _ints(path, line, count, need):
-    """The ``count`` integer fields of the data line ``line``; otherwise a
-    ValueError that names the file, says what the line ``need``s and
-    quotes it."""
-    parts = line.split()
-    if len(parts) == count:
+def _ints(path, line, count, need, parts=None):
+    """The ``count`` integer fields of the data line ``line`` (any number
+    of them when ``count`` is None); ``parts`` picks which fields, all by
+    default.  Otherwise a ValueError that names the file, says what the
+    line ``need``s and quotes it."""
+    parts = line.split() if parts is None else parts
+    if count is None or len(parts) == count:
         try:
             return [int(p) for p in parts]
         except ValueError:
@@ -140,20 +141,22 @@ def tensor_to_lines(tensor):
     return [f"order {tensor.order} dim {tensor.dim}"] + _format_rows(fmt, columns)
 
 
-def tensor_from_lines(lines):
-    """Inverse of tensor_to_lines; ``lines`` hold no comments or blank lines."""
+def tensor_from_lines(lines, path="tensor section"):
+    """Inverse of tensor_to_lines; ``lines`` hold no comments or blank
+    lines.  Errors name ``path``, the file the lines came from."""
     lines = list(lines)
     if not lines:
-        raise ValueError("tensor section is empty")
+        raise ValueError(f"{path}: empty tensor section")
     head = lines[0].split()
-    if len(head) != 4 or head[0] != "order" or head[2] != "dim":
-        raise ValueError(f"bad tensor header {lines[0]!r}")
-    order, dim = int(head[1]), int(head[3])
+    keyed = len(head) == 4 and head[0] == "order" and head[2] == "dim"
+    order, dim = _ints(
+        path, lines[0], 2, "bad tensor header, need 'order D dim n'", head[1::2] if keyed else []
+    )
     try:
         rows = _parse_rows(lines[1:], [("idx", np.int64, (order,)), ("val", np.float64)])
     except ValueError as exc:
         raise ValueError(
-            f"tensor entry needs {order} indices and a value ({exc})"
+            f"{path}: tensor entry needs {order} indices and a value ({exc})"
         ) from None
     return SparseTensor(order, dim, rows["idx"], rows["val"])
 
@@ -163,7 +166,7 @@ def write_tensor(path, tensor):
 
 
 def read_tensor(path):
-    return tensor_from_lines(_data_lines(Path(path).read_text()))
+    return tensor_from_lines(_data_lines(Path(path).read_text()), path)
 
 
 # -- ground truth -----------------------------------------------------
@@ -231,6 +234,7 @@ def _truth_of(path, targets, n1, n2):
 # -- matching instances -----------------------------------------------
 
 _MAGIC = "matching-instance"
+_FIELDS = ("n1", "n2", "rows", "cols", "sense", "truth")
 
 
 def write_instance(path, instance):
@@ -260,27 +264,30 @@ def read_instance(path):
         raise ValueError(f"{path}: not an instance file (missing {_MAGIC!r} header)")
     bounds = [pos for pos, line in enumerate(lines) if line == "tensor"]
     bounds.append(len(lines))
-    fields = {}
-    truth_targets = None
+    fields = {}  # field -> (its line, the text after the field name)
     for line in lines[1 : bounds[0]]:
         key, _, rest = line.partition(" ")
-        if key == "truth":
-            truth_targets = [int(p) for p in rest.split()]
-        elif key in ("n1", "n2", "rows", "cols", "sense"):
-            fields[key] = rest.strip()
-        else:
+        if key not in _FIELDS:
             raise ValueError(f"{path}: unknown instance field {key!r}")
+        if key in fields:
+            raise ValueError(f"{path}: instance field {key!r} is given twice")
+        fields[key] = line, rest.strip()
     sections = [
-        tensor_from_lines(lines[start + 1 : end])
+        tensor_from_lines(lines[start + 1 : end], path)
         for start, end in zip(bounds, bounds[1:])
     ]
 
-    missing = {"n1", "n2", "rows", "cols", "sense"} - set(fields)
+    missing = set(_FIELDS) - {"truth"} - set(fields)
     if missing:
         raise ValueError(f"{path}: missing instance fields {sorted(missing)}")
-    n1, n2 = int(fields["n1"]), int(fields["n2"])
+
+    def ints(key, count, need):
+        line, rest = fields[key]
+        return _ints(path, line, count, f"field {key!r} needs {need}", rest.split())
+
+    (n1,), (n2,) = ints("n1", 1, "one integer"), ints("n2", 1, "one integer")
     spec = ConstraintSpec(
-        n1, n2, SideMode.parse(fields["rows"]), SideMode.parse(fields["cols"])
+        n1, n2, SideMode.parse(fields["rows"][1]), SideMode.parse(fields["cols"][1])
     )
     n = n1 * n2
     by_order = {}
@@ -295,10 +302,10 @@ def read_instance(path):
         by_order.get(k, SparseTensor.empty(k, n)) for k in range(1, max_order + 1)
     )
     truth = None
-    if truth_targets is not None:
-        truth = _truth_of(path, truth_targets, n1, n2)
+    if "truth" in fields:
+        truth = _truth_of(path, ints("truth", None, "integer row targets"), n1, n2)
     return MatchingInstance(
-        n1, n2, potentials, spec, Sense.parse(fields["sense"]), truth
+        n1, n2, potentials, spec, Sense.parse(fields["sense"][1]), truth
     )
 
 

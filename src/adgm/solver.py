@@ -16,13 +16,13 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .constraints import (
     ConstraintSpec,
+    TextEnum,
     as_matrix,
     project_colwise,
     project_rowwise,
@@ -36,30 +36,14 @@ from .tensor import SparseTensor, multilinear_form, partial_contraction
 IMPROVEMENT_TOL = 1e-12
 
 
-class Sense(Enum):
+class Sense(TextEnum):
     MINIMIZE = "minimize"
     MAXIMIZE = "maximize"
 
-    @classmethod
-    def parse(cls, text):
-        key = str(text).strip().lower()
-        for sense in cls:
-            if sense.value == key:
-                return sense
-        raise ValueError(f"unknown sense {text!r}")
 
-
-class Variant(Enum):
+class Variant(TextEnum):
     ADGM1 = "adgm1"  # star coupling: x1 = xd for every d >= 2
     ADGM2 = "adgm2"  # chain coupling: x_{d-1} = xd
-
-    @classmethod
-    def parse(cls, text):
-        key = str(text).strip().lower()
-        for variant in cls:
-            if variant.value == key:
-                return variant
-        raise ValueError(f"unknown variant {text!r}")
 
     @lru_cache(maxsize=None)
     def couplings(self, D):
@@ -172,7 +156,6 @@ class SolverState:
     residual_history: list = field(default_factory=list)
     best_residual_since_increase: float = np.inf
     best_at_prev_check: float = np.inf
-    next_check_iter: int = 0
     rho_increases: list = field(default_factory=list)
 
 
@@ -263,32 +246,25 @@ def update_multipliers(state, variant, rho):
 def adapt_penalty(state, config):
     """Increase rho by beta when the windowed best residual stalls.
 
-    Bookkeeping starts once ``t1`` iterations have completed; checks fire
-    every ``t2`` iterations after that.  The first check only seeds the
-    reference window.  Call once per iteration, after the residual is
+    From iteration ``t1`` on, the best residual is tracked, and it is
+    checked at the iterations ``k = t1 + j * t2``.  The check at ``t1``
+    only seeds the reference window.  A later check multiplies rho by
+    beta, records ``k`` and restarts the tracking, unless the best
+    residual beat the one at the previous check by more than
+    ``IMPROVEMENT_TOL``.  Call once per iteration, after the residual is
     appended to the history."""
     k = state.iteration
     if k < config.t1:
         return
-    r = state.residual_history[-1]
-    if r < state.best_residual_since_increase:
-        state.best_residual_since_increase = r
-    if state.next_check_iter < config.t1:
-        state.next_check_iter = config.t1
-    if k != state.next_check_iter:
+    best = min(state.best_residual_since_increase, state.residual_history[-1])
+    state.best_residual_since_increase = best
+    if (k - config.t1) % config.t2:
         return
-    stalled = (
-        state.best_residual_since_increase
-        >= state.best_at_prev_check - IMPROVEMENT_TOL
-    )
-    if k > config.t1 and stalled:
+    if k > config.t1 and best >= state.best_at_prev_check - IMPROVEMENT_TOL:
         state.rho *= config.beta
         state.rho_increases.append(k)
-        state.best_at_prev_check = state.best_residual_since_increase
         state.best_residual_since_increase = np.inf
-    else:
-        state.best_at_prev_check = state.best_residual_since_increase
-    state.next_check_iter = k + config.t2
+    state.best_at_prev_check = best
 
 
 def to_minimization(instance):
@@ -316,17 +292,6 @@ def to_minimization(instance):
     return flipped, v_max
 
 
-def _initial_state(instance, D, rho0):
-    n = instance.n
-    uniform = np.full(n, 1.0 / max(instance.n1, instance.n2))
-    return SolverState(
-        blocks=[uniform.copy() for _ in range(D)],
-        prev_blocks=[uniform.copy() for _ in range(D)],
-        multipliers=[np.zeros(n) for _ in range(D - 1)],
-        rho=float(rho0),
-    )
-
-
 def solve(instance, config=None, collect_trace=False):
     """Run the alternating-direction iteration and discretize the result.
 
@@ -345,7 +310,15 @@ def solve(instance, config=None, collect_trace=False):
     rho0 = config.rho0 if config.rho0 is not None else n / 1000.0
     eps = config.eps if config.eps is not None else 1e-6 * n
 
-    state = _initial_state(instance, D, rho0)
+    # The blocks are only ever replaced, so they may share one start array;
+    # update_multipliers adds into each multiplier in place.
+    uniform = np.full(n, 1.0 / max(instance.n1, instance.n2))
+    state = SolverState(
+        blocks=[uniform] * D,
+        prev_blocks=[uniform] * D,
+        multipliers=[np.zeros(n) for _ in range(D - 1)],
+        rho=float(rho0),
+    )
     trace = [] if collect_trace else None
     converged = False
     start = time.perf_counter()
@@ -376,7 +349,7 @@ def solve(instance, config=None, collect_trace=False):
     x1 = state.blocks[0]
     discrete = hungarian(as_matrix(x1, instance.n1, instance.n2), instance.spec)
     return SolverResult(
-        continuous=x1.copy(),
+        continuous=x1,
         discrete=discrete,
         energy_continuous=energy(instance, x1),
         energy_discrete=energy(instance, discrete),
@@ -385,6 +358,6 @@ def solve(instance, config=None, collect_trace=False):
         residual_trace=np.asarray(state.residual_history),
         wall_time=wall,
         rho_final=state.rho,
-        rho_increases=list(state.rho_increases),
+        rho_increases=state.rho_increases,
         trace=trace,
     )

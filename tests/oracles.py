@@ -363,6 +363,39 @@ def per_variant_update_multipliers(state, variant, rho):
         state.multipliers[d - 2] += rho * gap
 
 
+class StoredCheckPenaltySchedule:
+    """``adapt_penalty`` as it was written with the next check iteration
+    stored, clamped up to ``t1`` and advanced by ``t2`` after each check.
+    One instance follows one solver state; call it once per iteration."""
+
+    def __init__(self):
+        self.next_check_iter = 0
+
+    def __call__(self, state, config, improvement_tol=1e-12):
+        k = state.iteration
+        if k < config.t1:
+            return
+        r = state.residual_history[-1]
+        if r < state.best_residual_since_increase:
+            state.best_residual_since_increase = r
+        if self.next_check_iter < config.t1:
+            self.next_check_iter = config.t1
+        if k != self.next_check_iter:
+            return
+        stalled = (
+            state.best_residual_since_increase
+            >= state.best_at_prev_check - improvement_tol
+        )
+        if k > config.t1 and stalled:
+            state.rho *= config.beta
+            state.rho_increases.append(k)
+            state.best_at_prev_check = state.best_residual_since_increase
+            state.best_residual_since_increase = np.inf
+        else:
+            state.best_at_prev_check = state.best_residual_since_increase
+        self.next_check_iter = k + config.t2
+
+
 # -- exhaustive assignment search ---------------------------------------
 
 

@@ -12,9 +12,14 @@ It imports the ``adgm`` package of the checkout it lives in and hashes:
   outliers) and on 30 random instances (sizes 1-4, orders 1-3, both
   senses, every exactly-one / at-most-one side combination the sizes
   allow);
+- the same on the seed-0 models under short penalty schedules
+  (``t1 = t2 = 1``; ``t1 = 5, t2 = 2, beta = 3``; ``t1 = t2 = 7``) and
+  under ``max_iter = 40``;
 - ``brute_force_optimum`` on the random instances;
 - ``hungarian`` on random and on tie-heavy integer profits;
 - ``ConstraintSpec.injective`` for sizes 1-5;
+- ``SideMode.parse``, ``Sense.parse`` and ``Variant.parse`` on a fixed
+  list of spellings: the member, or the text of the refusal;
 - the ``trials.csv`` and ``summary.csv`` of one ``adgm bench`` sweep,
   without their time columns.
 
@@ -58,6 +63,17 @@ methods = adgm1,adgm2
 seed = 4
 """
 TIME_COLUMNS = {"time_ms", "mean_time_ms"}
+SCHEDULES = (
+    dict(t1=1, t2=1),
+    dict(t1=5, t2=2, beta=3.0),
+    dict(t1=7, t2=7),
+    dict(max_iter=40),
+)
+SPELLINGS = (
+    "exactly-one", "AT_MOST_ONE", " Unconstrained ", "at most one", "exactly_one\t",
+    "minimize", " MAXIMIZE", "Maxi_mize", "adgm1", "ADGM2 ", "adgm-1", "adgm_2",
+    "", "x", None, 1,
+)
 
 
 def feed(digest, value):
@@ -79,9 +95,10 @@ def feed(digest, value):
         digest.update(f"{type(value).__name__}:{value!r}".encode())
 
 
-def feed_solves(digest, instance):
+def feed_solves(digest, instance, **overrides):
     for variant in Variant:
-        result = solve(instance, SolverConfig(variant=variant), collect_trace=True)
+        config = SolverConfig(variant=variant, **overrides)
+        result = solve(instance, config, collect_trace=True)
         for f in fields(result):
             if f.name != "wall_time":
                 feed(digest, (f.name, getattr(result, f.name)))
@@ -103,11 +120,19 @@ def one_to_one_specs(n1, n2):
         yield ConstraintSpec(n1, n2, rows, cols)
 
 
+def model_instance(model, seed):
+    points1, points2, truth = generate_synthetic(6, 2, 0.02, seed=seed)
+    return build_model(model, points1, points2, seed=seed, ground_truth=truth)
+
+
 def feed_models(digest):
     for model, seed in product(MODELS, range(3)):
-        points1, points2, truth = generate_synthetic(6, 2, 0.02, seed=seed)
-        instance = build_model(model, points1, points2, seed=seed, ground_truth=truth)
-        feed_solves(digest, instance)
+        feed_solves(digest, model_instance(model, seed))
+
+
+def feed_schedules(digest):
+    for model, overrides in product(MODELS, SCHEDULES):
+        feed_solves(digest, model_instance(model, 0), **overrides)
 
 
 def feed_random(digest):
@@ -138,6 +163,14 @@ def feed_injective(digest):
         feed(digest, (spec.n1, spec.n2, spec.row_mode, spec.col_mode))
 
 
+def feed_parse(digest):
+    for enum, text in product((SideMode, Sense, Variant), SPELLINGS):
+        try:
+            feed(digest, enum.parse(text))
+        except ValueError as exc:
+            feed(digest, str(exc))
+
+
 def feed_bench(digest):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "sweep.cfg"
@@ -155,9 +188,11 @@ def feed_bench(digest):
 def main():
     digest = hashlib.blake2b(digest_size=16)
     feed_models(digest)
+    feed_schedules(digest)
     feed_random(digest)
     feed_hungarian(digest)
     feed_injective(digest)
+    feed_parse(digest)
     feed_bench(digest)
     print(digest.hexdigest())
 

@@ -74,6 +74,23 @@ class TestUsageErrors:
         assert "truth matches column 1 more than once" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "old, new",
+        [("n1 2", "n1 2x"), ("n2 2", "n2 2\nn1 3"), ("truth 0 1", "truth 0 x"),
+         ("truth 0 1", "truth 0 1\ntruth 1 0"), ("order 2 dim 4", "order 2 dim x")],
+    )
+    def test_malformed_or_repeated_instance_field_names_the_file(
+        self, tmp_path, capsys, old, new
+    ):
+        path = tmp_path / "instance.txt"
+        path.write_text(
+            "matching-instance\n"
+            "n1 2\nn2 2\nrows exactly-one\ncols exactly-one\nsense minimize\n"
+            "truth 0 1\ntensor\norder 2 dim 4\n0 3 1.0\n".replace(old, new)
+        )
+        assert run("solve", str(path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize(
         "name, text, flag",
         [("truth.txt", "0 1 2\n", "--truth"), ("unary.txt", "3 3 3\n", "--unary")],
     )
@@ -304,6 +321,7 @@ class TestBench:
             ("beta = 0.5\n", 2, "refused: beta must be > 1"),
             ("eta = 0.4\nknn = 3\n", 1, "error: model b does not take 'eta'"),
             ("values = 1,1\n", 1, "error: sweep value 1 is listed more than once"),
+            ("methods = adgm1,ADGM1\n", 1, "error: method 'adgm1' is listed more than once"),
         ],
     )
     def test_bad_config_is_refused_before_any_work(
@@ -316,7 +334,22 @@ class TestBench:
         monkeypatch.setattr(harness, "brute_force_optimum", never)
         out_dir = tmp_path / "reports"
         config_path = tmp_path / "bench.cfg"
-        config_path.write_text(f"model = b\nvalues = 0\ninliers = 3\n{text}")
+        # A key may be given once, so the sweep-value case brings its own values.
+        values = "" if text.startswith("values") else "values = 0\n"
+        config_path.write_text(f"model = b\n{values}inliers = 3\n{text}")
         assert run("bench", str(config_path), "--out", str(out_dir)) == code
         assert capsys.readouterr().err.startswith(message)
+        assert not out_dir.exists()
+
+    def test_repeated_key_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(harness, "generate_synthetic", never)
+        out_dir = tmp_path / "reports"
+        config_path = tmp_path / "bench.cfg"
+        config_path.write_text("model = c\nvalues = 0\ninliers = 3\nmodel = b\n")
+        assert run("bench", str(config_path), "--out", str(out_dir)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config_path}: config key 'model' is given twice\n"
         assert not out_dir.exists()

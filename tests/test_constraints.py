@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from adgm.constraints import (
     project_rowwise,
     project_simplex,
 )
+from adgm.solver import Sense, Variant
 
 
 # -- spec and vector layout ----------------------------------------------
@@ -48,6 +51,25 @@ def test_side_mode_parse():
     assert SideMode.parse("unconstrained") is SideMode.UNCONSTRAINED
     with pytest.raises(ValueError):
         SideMode.parse("sometimes")
+
+
+@pytest.mark.parametrize(
+    "enum, noun", [(SideMode, "side mode"), (Sense, "sense"), (Variant, "variant")]
+)
+def test_every_enum_parses_loose_spellings_and_names_itself_on_refusal(enum, noun):
+    for member in enum:
+        for text in (
+            member.value,
+            member.value.upper(),
+            member.value.title(),
+            f"  {member.value}\t",
+            member.value.replace("-", "_"),
+            f" {member.value.upper().replace('-', '_')} ",
+        ):
+            assert enum.parse(text) is member
+    for text in ("x", "", "adgm", "exactly one", "minimise"):
+        with pytest.raises(ValueError, match=f"^unknown {noun} {re.escape(repr(text))}$"):
+            enum.parse(text)
 
 
 def test_assignment_index_column_major():

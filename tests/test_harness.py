@@ -139,6 +139,9 @@ class TestExperimentConfig:
             ExperimentConfig(model="c", values=(0,), methods=())
         with pytest.raises(ValueError, match="sweep value 2 is listed more than once"):
             ExperimentConfig(model="c", values=(0, 2, 1, 2))
+        methods = (("adgm1", SolverConfig()), ("adgm2", SolverConfig()), ("adgm1", SolverConfig()))
+        with pytest.raises(ValueError, match="^method 'adgm1' is listed more than once$"):
+            ExperimentConfig(model="c", values=(0,), methods=methods)
         with pytest.raises(ValueError, match="model c does not take 'knn'"):
             ExperimentConfig(model="c", values=(0,), knn=3)
         with pytest.raises(ValueError, match="model a does not take 'triangles'"):
@@ -207,6 +210,9 @@ class TestReadExperimentConfig:
             read_experiment_config(path)
         path.write_text("model c\n")
         with pytest.raises(ValueError, match="key = value"):
+            read_experiment_config(path)
+        path.write_text("model = c\nvalues = 0\nmodel = b\n")
+        with pytest.raises(ValueError, match="config key 'model' is given twice"):
             read_experiment_config(path)
 
 

@@ -435,6 +435,42 @@ class TestInstance:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truth {message}"):
             read_instance(path)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("n1 2", "n1 2x"), ("n2 2", "n2"), ("sense minimize", "sense minimize\ntruth 0 x"),
+         ("order 1 dim 4", "order 1 dim x"), ("order 1 dim 4", "order 1 size 4")],
+    )
+    def test_malformed_integer_field_names_the_file_and_quotes_the_line(
+        self, tmp_path, old, new
+    ):
+        path = tmp_path / "instance.txt"
+        path.write_text(_HEADER.replace(old, new))
+        line = new.splitlines()[-1]
+        message = f"^{re.escape(str(path))}: .*, got {re.escape(repr(line))}$"
+        with pytest.raises(ValueError, match=message):
+            read_instance(path)
+
+    @pytest.mark.parametrize("field, line", [("n1", "n1 3"), ("truth", "truth 1 0")])
+    def test_repeated_field_is_rejected(self, tmp_path, field, line):
+        path = tmp_path / "instance.txt"
+        path.write_text(_HEADER.replace("sense minimize", f"sense minimize\ntruth 0 1\n{line}"))
+        message = f"^{re.escape(str(path))}: instance field {field!r} is given twice$"
+        with pytest.raises(ValueError, match=message):
+            read_instance(path)
+
+    def test_tensor_header_error_keeps_its_wording(self, tmp_path):
+        path = tmp_path / "tensor.txt"
+        path.write_text("order 2 dim\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad tensor header"):
+            read_tensor(path)
+
+
+_HEADER = (
+    "matching-instance\n"
+    "n1 2\nn2 2\nrows exactly-one\ncols exactly-one\nsense minimize\n"
+    "tensor\norder 1 dim 4\n0 1.0\n"
+)
+
 
 class TestSolutionAndTrace:
     def test_solution_file_lists_matches_and_metadata(self, tmp_path):

@@ -418,6 +418,56 @@ def test_penalty_respects_custom_window():
     assert state.rho == 8.0
 
 
+def _residual_sequence(rng, length):
+    """Residuals mixing runs that hold, improve, tie and go NaN."""
+    out = []
+    while len(out) < length:
+        run = int(rng.integers(1, 12))
+        kind = rng.integers(4)
+        if kind == 0:  # constant
+            out += [float(rng.choice([0.5, 1.0, 2.0]))] * run
+        elif kind == 1:  # improving
+            out += list(float(rng.uniform(0.1, 2.0)) * 0.9 ** np.arange(run))
+        elif kind == 2:  # within the improvement tolerance of the last value
+            last = out[-1] if out else 1.0
+            out += [last - float(rng.choice([0.0, 5e-13, 2e-12]))] * run
+        else:
+            out += [float("nan")] * run
+    return out[:length]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_penalty_schedule_matches_the_stored_check_reference(seed):
+    rng = np.random.default_rng(500 + seed)
+    t2 = int(rng.integers(1, 8))
+    t1 = t2 + int(rng.integers(0, 12))
+    config = SolverConfig(t1=t1, t2=t2, beta=float(rng.uniform(1.1, 4.0)))
+    ours = SolverState(blocks=[], prev_blocks=[], multipliers=[], rho=0.3)
+    theirs = SolverState(blocks=[], prev_blocks=[], multipliers=[], rho=0.3)
+    reference = oracles.StoredCheckPenaltySchedule()
+    for k, r in enumerate(_residual_sequence(rng, 200), start=1):
+        for state in (ours, theirs):
+            state.iteration = k
+            state.residual_history.append(r)
+        adapt_penalty(ours, config)
+        reference(theirs, config)
+        assert ours.rho == theirs.rho
+        assert ours.rho_increases == theirs.rho_increases
+        assert ours.best_residual_since_increase == theirs.best_residual_since_increase
+        assert ours.best_at_prev_check == theirs.best_at_prev_check
+
+
+def test_penalty_checks_resume_when_a_call_skips_t1():
+    # The stored-check schedule waited for iteration t1 forever.
+    config = SolverConfig(t1=10, t2=5)
+    state = SolverState(blocks=[], prev_blocks=[], multipliers=[], rho=1.0)
+    for k in range(11, 31):
+        state.iteration = k
+        state.residual_history.append(1.0)
+        adapt_penalty(state, config)
+    assert state.rho_increases == [20, 25, 30]
+
+
 # -- end-to-end solve -----------------------------------------------------------
 
 
