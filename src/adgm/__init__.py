@@ -22,12 +22,7 @@ from .constraints import (
     project_rowwise,
     project_simplex,
 )
-from .errors import (
-    AdgmError,
-    ConfigurationError,
-    OracleRefusalError,
-    UnsupportedConstraintError,
-)
+from .errors import AdgmError, ConfigurationError, OracleRefusalError
 from .discretize import BruteForceLimits, brute_force_optimum, hungarian
 from .harness import (
     ExperimentConfig,
@@ -82,7 +77,6 @@ __all__ = [
     "SparseTensor",
     "Transform",
     "TrialReport",
-    "UnsupportedConstraintError",
     "Variant",
     "accuracy",
     "as_matrix",

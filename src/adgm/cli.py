@@ -8,8 +8,7 @@ file, and ``oracle`` exhaustively finds the discrete optimum of a small
 instance.
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a request
-is refused (oracle limits, unsupported constraints, bad solver
-configuration).
+is refused (oracle limits, bad solver configuration).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from pathlib import Path
 
 from .constraints import ConstraintSpec, SideMode
 from .discretize import BruteForceLimits, brute_force_optimum
-from .errors import ConfigurationError, OracleRefusalError, UnsupportedConstraintError
+from .errors import ConfigurationError, OracleRefusalError
 from .harness import Transform, generate_synthetic, read_experiment_config, run_experiment
 from .io import (
     read_edges,
@@ -71,7 +70,8 @@ def _cmd_gen(args):
 def _resolve_cli_spec(args, n1, n2):
     if args.rows is None and args.cols is None:
         return None  # builders default to an injective matching
-    row_mode = SideMode.parse(args.rows or "exactly-one")
+    # A left-out side is matched exactly once only when it is the smaller.
+    row_mode = SideMode.parse(args.rows or ("exactly-one" if n1 <= n2 else "at-most-one"))
     col_mode = SideMode.parse(args.cols or "at-most-one")
     return ConstraintSpec(n1, n2, row_mode, col_mode)
 
@@ -255,7 +255,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OracleRefusalError, UnsupportedConstraintError, ConfigurationError) as exc:
+    except (OracleRefusalError, ConfigurationError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

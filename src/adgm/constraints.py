@@ -5,8 +5,7 @@ vector ``x`` of length ``n1 * n2`` laid out column-major: the candidate
 pairing source ``i1`` with target ``i2`` lives at ``a = i2 * n1 + i1``.
 Viewed as the ``n1 x n2`` matrix ``X`` with ``X[i1, i2] = x[a]``, each side
 of the matching constrains its own sums: every row (source point) and every
-column (target point) is either matched exactly once, at most once, or left
-unconstrained.
+column (target point) is matched either exactly once or at most once.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ class SideMode(TextEnum):
 
     EXACTLY_ONE = "exactly-one"
     AT_MOST_ONE = "at-most-one"
-    UNCONSTRAINED = "unconstrained"
 
 
 class SimplexMode(Enum):
@@ -50,14 +48,6 @@ class SimplexMode(Enum):
 
     SUM_EQUALS_ONE = "sum-equals-one"
     SUM_AT_MOST_ONE = "sum-at-most-one"
-    NONNEGATIVE_ONLY = "nonnegative-only"
-
-
-_SIDE_TO_SIMPLEX = {
-    SideMode.EXACTLY_ONE: SimplexMode.SUM_EQUALS_ONE,
-    SideMode.AT_MOST_ONE: SimplexMode.SUM_AT_MOST_ONE,
-    SideMode.UNCONSTRAINED: SimplexMode.NONNEGATIVE_ONLY,
-}
 
 
 @dataclass(frozen=True)
@@ -122,24 +112,22 @@ def as_vector(matrix):
 def project_simplex(v, mode):
     """Euclidean projection of a vector onto the chosen simplex variant.
 
-    SUM_EQUALS_ONE:   {x >= 0, sum(x) = 1}
-    SUM_AT_MOST_ONE:  {x >= 0, sum(x) <= 1}
-    NONNEGATIVE_ONLY: {x >= 0}
+    SUM_EQUALS_ONE:  {x >= 0, sum(x) = 1}
+    SUM_AT_MOST_ONE: {x >= 0, sum(x) <= 1}
     """
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
-    return _project_rows(v[None, :], mode)[0]
+    return _project_rows(v[None, :], mode is SimplexMode.SUM_EQUALS_ONE)[0]
 
 
-def _project_rows(rows, mode):
-    """Project each row of a 2-D array onto the chosen simplex variant."""
+def _project_rows(rows, exact):
+    """Project each row of a 2-D array onto {x >= 0, sum(x) = 1} when
+    ``exact``, else onto {x >= 0, sum(x) <= 1}."""
     rows = np.asarray(rows, dtype=np.float64)
-    if mode is SimplexMode.SUM_EQUALS_ONE:
+    if exact:
         return _project_rows_equality(rows)
     clipped = np.maximum(rows, 0.0)
-    if mode is SimplexMode.NONNEGATIVE_ONLY:
-        return clipped
     inside = clipped.sum(axis=1) <= 1.0
     if np.all(inside):
         return clipped
@@ -162,15 +150,13 @@ def _project_rows_equality(rows):
 def project_rowwise(x, spec):
     """Project each row of the assignment matrix per the row constraint."""
     matrix = as_matrix(x, spec.n1, spec.n2)
-    mode = _SIDE_TO_SIMPLEX[spec.row_mode]
-    return as_vector(_project_rows(matrix, mode))
+    return as_vector(_project_rows(matrix, spec.row_mode is SideMode.EXACTLY_ONE))
 
 
 def project_colwise(x, spec):
     """Project each column of the assignment matrix per the column constraint."""
     matrix = as_matrix(x, spec.n1, spec.n2)
-    mode = _SIDE_TO_SIMPLEX[spec.col_mode]
-    return as_vector(_project_rows(matrix.T, mode).T)
+    return as_vector(_project_rows(matrix.T, spec.col_mode is SideMode.EXACTLY_ONE).T)
 
 
 def feasibility(x, spec, hard=False, tol=FEASIBILITY_TOL):
@@ -188,7 +174,7 @@ def feasibility(x, spec, hard=False, tol=FEASIBILITY_TOL):
     for sums, mode in ((matrix.sum(axis=1), spec.row_mode), (matrix.sum(axis=0), spec.col_mode)):
         if mode is SideMode.EXACTLY_ONE:
             violation = max(violation, float(np.max(np.abs(sums - 1.0))))
-        elif mode is SideMode.AT_MOST_ONE:
+        else:
             violation = max(violation, float(np.max(sums - 1.0, initial=0.0)))
     if hard:
         violation = max(violation, float(np.min(np.abs(np.stack([x, x - 1.0])), axis=0).max()))

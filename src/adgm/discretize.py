@@ -16,7 +16,7 @@ from operator import add
 import numpy as np
 
 from .constraints import SideMode, assignment_index
-from .errors import OracleRefusalError, UnsupportedConstraintError
+from .errors import OracleRefusalError
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,6 @@ def _assignment_min_cost(cost):
     return match_row
 
 
-def require_one_to_one(spec):
-    """Raise UnsupportedConstraintError unless every side of ``spec`` is
-    matched exactly once or at most once, the only specs that
-    ``hungarian`` discretizes and ``brute_force_optimum`` enumerates."""
-    if SideMode.UNCONSTRAINED in (spec.row_mode, spec.col_mode):
-        raise UnsupportedConstraintError(
-            "an unconstrained side has no one-to-one discretization or "
-            "enumeration; threshold the continuous solution instead"
-        )
-
-
 def hungarian(profit, spec):
     """Hard assignment maximizing total profit under ``spec``.
 
@@ -108,7 +97,6 @@ def hungarian(profit, spec):
         )
     if profit.size and not np.all(np.isfinite(profit)):
         raise ValueError("profit entries must be finite")
-    require_one_to_one(spec)
 
     n1, n2 = spec.n1, spec.n2
     # Dummies on an exactly-one side, the smaller one, absorb the other
@@ -207,7 +195,6 @@ def brute_force_optimum(instance, limits=None):
     if limits is None:
         limits = BruteForceLimits()
     spec = instance.spec
-    require_one_to_one(spec)
     if SideMode.EXACTLY_ONE not in (spec.row_mode, spec.col_mode):
         if max(spec.n1, spec.n2) > limits.max_occluded:
             raise OracleRefusalError(

@@ -9,9 +9,5 @@ class ConfigurationError(AdgmError):
     """A solver or experiment parameter is out of its valid range."""
 
 
-class UnsupportedConstraintError(AdgmError):
-    """The requested operation cannot handle the given constraint modes."""
-
-
 class OracleRefusalError(AdgmError):
     """An exact oracle declined to run because the instance is too large."""

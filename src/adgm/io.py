@@ -52,6 +52,14 @@ def _ints(path, line, count, need, parts=None):
     raise ValueError(f"{path}: {need}, got {line!r}")
 
 
+def _named(path, build, *args):
+    """``build(*args)``, with the file ``path`` named in its ValueError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _parse_rows(lines, dtype):
     """Parse whitespace-separated data lines (no comments, no blank lines)
     into a 1-D structured array of ``dtype``.
@@ -158,7 +166,7 @@ def tensor_from_lines(lines, path="tensor section"):
         raise ValueError(
             f"{path}: tensor entry needs {order} indices and a value ({exc})"
         ) from None
-    return SparseTensor(order, dim, rows["idx"], rows["val"])
+    return _named(path, SparseTensor, order, dim, rows["idx"], rows["val"])
 
 
 def write_tensor(path, tensor):
@@ -220,15 +228,7 @@ def read_truth(path, n1, n2):
         if targets[i] >= 0:
             raise ValueError(f"{path}: row {i} is listed twice")
         targets[i] = j
-    return _truth_of(path, targets, n1, n2)
-
-
-def _truth_of(path, targets, n1, n2):
-    """row_targets_to_truth, with the file named in its error."""
-    try:
-        return row_targets_to_truth(targets, n1, n2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _named(path, row_targets_to_truth, targets, n1, n2)
 
 
 # -- matching instances -----------------------------------------------
@@ -286,12 +286,13 @@ def read_instance(path):
         return _ints(path, line, count, f"field {key!r} needs {need}", rest.split())
 
     (n1,), (n2,) = ints("n1", 1, "one integer"), ints("n2", 1, "one integer")
-    spec = ConstraintSpec(
-        n1, n2, SideMode.parse(fields["rows"][1]), SideMode.parse(fields["cols"][1])
-    )
+    rows, cols = (_named(path, SideMode.parse, fields[key][1]) for key in ("rows", "cols"))
+    spec = _named(path, ConstraintSpec, n1, n2, rows, cols)
     n = n1 * n2
     by_order = {}
     for tensor in sections:
+        if tensor.order < 1:
+            raise ValueError(f"{path}: a potential tensor needs order >= 1, got {tensor.order}")
         if tensor.dim != n:
             raise ValueError(f"{path}: tensor dim {tensor.dim} does not match n={n}")
         if tensor.order in by_order:
@@ -303,10 +304,10 @@ def read_instance(path):
     )
     truth = None
     if "truth" in fields:
-        truth = _truth_of(path, ints("truth", None, "integer row targets"), n1, n2)
-    return MatchingInstance(
-        n1, n2, potentials, spec, Sense.parse(fields["sense"][1]), truth
-    )
+        targets = ints("truth", None, "integer row targets")
+        truth = _named(path, row_targets_to_truth, targets, n1, n2)
+    sense = _named(path, Sense.parse, fields["sense"][1])
+    return _named(path, MatchingInstance, n1, n2, potentials, spec, sense, truth)
 
 
 # -- solutions and traces ---------------------------------------------

@@ -27,7 +27,7 @@ from .constraints import (
     project_colwise,
     project_rowwise,
 )
-from .discretize import hungarian, require_one_to_one
+from .discretize import hungarian
 from .errors import ConfigurationError
 from .tensor import SparseTensor, multilinear_form, partial_contraction
 
@@ -301,9 +301,6 @@ def solve(instance, config=None, collect_trace=False):
     """
     if config is None:
         config = SolverConfig()
-    # The result is discretized by hungarian: refuse before iterating.
-    require_one_to_one(instance.spec)
-
     n = instance.n
     # Unary-only problems still iterate on two blocks.
     D = max(2, instance.order)

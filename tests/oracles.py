@@ -407,8 +407,6 @@ def enumerate_assignment_matrices(n1, n2, row_mode, col_mode):
         options = [np.eye(n2)[j] for j in range(n2)]
         if row_mode is not SideMode.EXACTLY_ONE:
             options = [np.zeros(n2)] + options
-        if row_mode is SideMode.UNCONSTRAINED:
-            options = [np.array(bits, dtype=np.float64) for bits in itertools.product((0.0, 1.0), repeat=n2)]
         row_options.append(options)
     for rows in itertools.product(*row_options):
         matrix = np.vstack(rows)

@@ -1,11 +1,15 @@
-"""Print one digest of everything the solver stack computes on a fixed set.
+"""Print digests of everything the solver stack computes on a fixed set.
 
 Run it on two checkouts to check that a change leaves results
 byte-identical::
 
     python3 tests/solve_digest.py
 
-It imports the ``adgm`` package of the checkout it lives in and hashes:
+The first line is the digest of all sections together; then follows one
+``name digest`` line per section, so a change that deliberately alters
+one section shows every other one unchanged.  It imports the ``adgm``
+package of the checkout it lives in and hashes, section by section
+(models, schedules, random, hungarian, injective, parse, bench):
 
 - every ``SolverResult`` field except ``wall_time``, traced, for both
   variants, on models a, b, c and third (seeds 0-2, 6 inliers plus 2
@@ -185,16 +189,37 @@ def feed_bench(digest):
                     feed(digest, [(k, v) for k, v in row.items() if k not in TIME_COLUMNS])
 
 
+SECTIONS = (
+    ("models", feed_models),
+    ("schedules", feed_schedules),
+    ("random", feed_random),
+    ("hungarian", feed_hungarian),
+    ("injective", feed_injective),
+    ("parse", feed_parse),
+    ("bench", feed_bench),
+)
+
+
+class Tee:
+    """Feeds every update to each of several digests."""
+
+    def __init__(self, *digests):
+        self.digests = digests
+
+    def update(self, data):
+        for digest in self.digests:
+            digest.update(data)
+
+
 def main():
-    digest = hashlib.blake2b(digest_size=16)
-    feed_models(digest)
-    feed_schedules(digest)
-    feed_random(digest)
-    feed_hungarian(digest)
-    feed_injective(digest)
-    feed_parse(digest)
-    feed_bench(digest)
-    print(digest.hexdigest())
+    total = hashlib.blake2b(digest_size=16)
+    lines = []
+    for name, feed_section in SECTIONS:
+        section = hashlib.blake2b(digest_size=16)
+        feed_section(Tee(total, section))
+        lines.append(f"{name} {section.hexdigest()}")
+    print(total.hexdigest())
+    print("\n".join(lines))
 
 
 if __name__ == "__main__":

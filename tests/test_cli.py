@@ -7,7 +7,7 @@ import pytest
 
 from adgm import harness
 from adgm.cli import main
-from adgm.constraints import SideMode
+from adgm.constraints import ConstraintSpec, SideMode
 from adgm.io import read_instance, read_points, read_truth
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -40,6 +40,19 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
         assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--rows", "--cols"])
+    def test_unconstrained_side_is_refused_before_reading(self, tmp_path, capsys, flag):
+        missing = str(tmp_path / "missing.txt")
+        code = run(
+            "build", "--points1", missing, "--points2", missing, "--model", "c",
+            flag, "unconstrained", "--out", str(tmp_path / "instance.txt"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid choice: 'unconstrained'" in err
+        assert "missing.txt" not in err
+        assert not (tmp_path / "instance.txt").exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert run("solve", str(tmp_path / "nope.txt")) == 1
@@ -76,7 +89,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "old, new",
         [("n1 2", "n1 2x"), ("n2 2", "n2 2\nn1 3"), ("truth 0 1", "truth 0 x"),
-         ("truth 0 1", "truth 0 1\ntruth 1 0"), ("order 2 dim 4", "order 2 dim x")],
+         ("truth 0 1", "truth 0 1\ntruth 1 0"), ("order 2 dim 4", "order 2 dim x"),
+         ("rows exactly-one", "rows unconstrained"),
+         ("order 2 dim 4", "order 0 dim 4\n5.0\ntensor\norder 2 dim 4")],
     )
     def test_malformed_or_repeated_instance_field_names_the_file(
         self, tmp_path, capsys, old, new
@@ -181,6 +196,32 @@ class TestBuild:
         spec = read_instance(path).spec
         assert spec.row_mode is SideMode.AT_MOST_ONE
         assert spec.col_mode is SideMode.AT_MOST_ONE
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_left_out_rows_default_to_the_injective_side(self, tmp_path, swap):
+        # 4+5 points, or 5+4 with the sets swapped: naming the smaller set's
+        # side exactly-one builds the same instance as no side flags.
+        data = tmp_path / "data"
+        assert run("gen", "--inliers", "4", "--outliers", "1", "--out", str(data)) == 0
+        sets = [str(data / "points1.txt"), str(data / "points2.txt")]
+        first, second = sets[::-1] if swap else sets
+        n1, n2 = (5, 4) if swap else (4, 5)
+
+        def build(name, *sides):
+            path = tmp_path / name
+            assert run(
+                "build", "--points1", first, "--points2", second, "--model", "c",
+                "--out", str(path), *sides,
+            ) == 0
+            return path
+
+        default = build("default.txt")
+        assert read_instance(default).spec == ConstraintSpec.injective(n1, n2)
+        exact = build("exact.txt", "--cols" if swap else "--rows", "exactly-one")
+        assert exact.read_bytes() == default.read_bytes()
+        soft = read_instance(build("soft.txt", "--cols", "at-most-one")).spec
+        assert soft.col_mode is SideMode.AT_MOST_ONE
+        assert soft.row_mode is (SideMode.AT_MOST_ONE if swap else SideMode.EXACTLY_ONE)
 
     def test_edge_model_defaults_to_delaunay_and_zero_unary(self, tmp_path):
         path = _gen_and_build(tmp_path, model="a", inliers=5)

@@ -9,7 +9,7 @@ from helpers import dense_random_instance, random_instance, random_sparse_tensor
 from adgm import discretize
 from adgm.constraints import ConstraintSpec, SideMode, as_matrix, as_vector, feasibility
 from adgm.discretize import BruteForceLimits, brute_force_optimum, hungarian
-from adgm.errors import OracleRefusalError, UnsupportedConstraintError
+from adgm.errors import OracleRefusalError
 from adgm.solver import MatchingInstance, Sense
 from adgm.tensor import SparseTensor
 
@@ -98,12 +98,6 @@ def test_hungarian_beats_random_feasible_assignments():
         assert best >= float(profit[np.arange(6), perm].sum()) - 1e-12
 
 
-def test_hungarian_refuses_unconstrained():
-    spec = ConstraintSpec(2, 2, SideMode.UNCONSTRAINED, SideMode.AT_MOST_ONE)
-    with pytest.raises(UnsupportedConstraintError):
-        hungarian(np.zeros((2, 2)), spec)
-
-
 def test_hungarian_validates_input():
     with pytest.raises(ValueError):
         hungarian(np.zeros((2, 3)), ConstraintSpec(2, 2))
@@ -178,13 +172,6 @@ def test_brute_force_refusals_name_the_limit():
     # generous explicit limits lift the refusal
     x, _ = brute_force_optimum(occluded, BruteForceLimits(max_occluded=6))
     assert feasibility(x, occluded.spec, hard=True).feasible
-
-
-def test_brute_force_refuses_unconstrained():
-    spec = ConstraintSpec(2, 2, SideMode.UNCONSTRAINED, SideMode.UNCONSTRAINED)
-    inst = MatchingInstance(2, 2, (SparseTensor.empty(1, 4),), spec)
-    with pytest.raises(UnsupportedConstraintError):
-        brute_force_optimum(inst)
 
 
 def test_brute_force_agrees_with_hungarian_on_unary_instances():
@@ -313,10 +300,3 @@ def test_refusals_raise_before_any_candidate_is_scored(monkeypatch):
         brute_force_optimum(
             random_instance(rng, 4, 4), BruteForceLimits(max_candidates=23)
         )
-    monkeypatch.setattr(discretize, "_candidate_count", never)
-    free = SideMode.UNCONSTRAINED
-    for modes in ((free, EXACT), (EXACT, free), (free, SOFT), (free, free)):
-        spec = ConstraintSpec(2, 2, *modes)
-        inst = MatchingInstance(2, 2, (SparseTensor.empty(1, 4),), spec)
-        with pytest.raises(UnsupportedConstraintError, match="one-to-one discretization"):
-            brute_force_optimum(inst)

@@ -458,6 +458,33 @@ class TestInstance:
         with pytest.raises(ValueError, match=message):
             read_instance(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("n1 2", "n1 0", "n1 and n2 must be >= 1"),
+         ("n1 2", "n1 3", "every row matched exactly once needs n1 <= n2, got 3 x 2"),
+         ("rows exactly-one", "rows bogus", "unknown side mode 'bogus'"),
+         ("cols exactly-one", "cols bogus", "unknown side mode 'bogus'"),
+         ("rows exactly-one", "rows unconstrained", "unknown side mode 'unconstrained'"),
+         ("sense minimize", "sense bogus", "unknown sense 'bogus'")],
+    )
+    def test_bad_header_value_names_the_file(self, tmp_path, old, new, message):
+        path = tmp_path / "instance.txt"
+        path.write_text(_HEADER.replace(old, new))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_instance(path)
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [("order 0 dim 4\n5.0", "a potential tensor needs order >= 1, got 0"),
+         ("order 2 dim 4\n0 4 1.0", "tensor indices out of range [0, dim)"),
+         ("order 2 dim 4\n0 1 inf", "tensor values must be finite")],
+    )
+    def test_bad_tensor_section_names_the_file(self, tmp_path, section, message):
+        path = tmp_path / "instance.txt"
+        path.write_text(f"{_HEADER}tensor\n{section}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_instance(path)
+
     def test_tensor_header_error_keeps_its_wording(self, tmp_path):
         path = tmp_path / "tensor.txt"
         path.write_text("order 2 dim\n")

@@ -7,9 +7,9 @@ import oracles
 from helpers import csr_builds, dense_random_instance, random_instance, random_state
 
 from adgm import solver
-from adgm.constraints import ConstraintSpec, SideMode, as_vector, feasibility
+from adgm.constraints import ConstraintSpec, as_vector, feasibility
 from adgm.discretize import brute_force_optimum
-from adgm.errors import ConfigurationError, UnsupportedConstraintError
+from adgm.errors import ConfigurationError
 from adgm.harness import generate_synthetic
 from adgm.models import build_pairwise_c, build_third_order
 from adgm.solver import (
@@ -557,24 +557,6 @@ def test_solve_reports_native_sense_for_maximize():
     best_x, best_e = brute_force_optimum(inst)
     assert result.energy_discrete <= best_e + 1e-9
     del best_x
-
-
-def test_solve_unconstrained_spec_is_refused_at_discretization():
-    spec = ConstraintSpec(2, 2, SideMode.UNCONSTRAINED, SideMode.UNCONSTRAINED)
-    inst = unary_instance([1.0, -1.0, 2.0, 0.5], spec)
-    with pytest.raises(UnsupportedConstraintError):
-        solve(inst, SolverConfig(max_iter=5))
-
-
-def test_solve_refuses_unconstrained_spec_before_iterating(monkeypatch):
-    def no_iteration(*args, **kwargs):
-        raise AssertionError("solve iterated on a spec it cannot discretize")
-
-    monkeypatch.setattr(solver, "projection_target", no_iteration)
-    spec = ConstraintSpec(2, 2, SideMode.EXACTLY_ONE, SideMode.UNCONSTRAINED)
-    inst = unary_instance([1.0, -1.0, 2.0, 0.5], spec)
-    with pytest.raises(UnsupportedConstraintError, match="one-to-one discretization"):
-        solve(inst, SolverConfig(max_iter=5))
 
 
 def test_solve_rejects_bad_config_before_iterating():
