@@ -19,6 +19,12 @@ import numpy as np
 # Tolerance used by feasibility checks.
 FEASIBILITY_TOL = 1e-9
 
+# Every double below this in magnitude differs from itself minus 1.
+_EXACT_LIMIT = 2.0**53
+
+# The arrays of _ranks, by row count and row length.
+_RANKS = {}
+
 
 class TextEnum(Enum):
     """An enum read from text by its values, which are lower-case words
@@ -122,29 +128,69 @@ def project_simplex(v, mode):
 
 
 def _project_rows(rows, exact):
-    """Project each row of a 2-D array onto {x >= 0, sum(x) = 1} when
-    ``exact``, else onto {x >= 0, sum(x) <= 1}."""
-    rows = np.asarray(rows, dtype=np.float64)
+    """Project each row of a 2-D float64 array onto {x >= 0, sum(x) = 1}
+    when ``exact``, else onto {x >= 0, sum(x) <= 1}."""
     if exact:
         return _project_rows_equality(rows)
+    # A clipped row that sums to at most 1 is its own projection; only the
+    # others go through the equality projection.  Rows are independent.
     clipped = np.maximum(rows, 0.0)
     inside = clipped.sum(axis=1) <= 1.0
-    if np.all(inside):
-        return clipped
-    return np.where(inside[:, None], clipped, _project_rows_equality(rows))
+    if not inside.all():
+        over = ~inside
+        clipped[over] = _project_rows_equality(rows[over])
+    return clipped
 
 
 def _project_rows_equality(rows):
-    """Row-wise projection onto {x >= 0, sum(x) = 1} by sort and threshold."""
-    m = rows.shape[1]
-    desc = -np.sort(-rows, axis=1)
-    csum = np.cumsum(desc, axis=1)
-    counts = np.arange(1, m + 1, dtype=np.float64)
-    # Largest k with desc_k > (csum_k - 1) / k; the mask is a prefix.
-    support = desc - (csum - 1.0) / counts > 0.0
-    k = support.sum(axis=1)
-    theta = (csum[np.arange(rows.shape[0]), k - 1] - 1.0) / k
-    return np.maximum(rows - theta[:, None], 0.0)
+    """Row-wise projection onto {x >= 0, sum(x) = 1} by sort and threshold.
+
+    Where a row's largest entry is 2**53 or more in magnitude, the 1 taken
+    off its partial sums is lost to rounding: the threshold finds no
+    support, or one a unit off (``[1.26e16, 2.7e15, 8.7e15]`` gave
+    ``[2, 0, 0]``).  Such rows are projected again after subtracting their
+    maximum, which does not move the projection."""
+    out, top = _sort_threshold(rows)
+    if np.abs(top).max() >= _EXACT_LIMIT:
+        huge = np.abs(top) >= _EXACT_LIMIT
+        out[huge] = _sort_threshold(rows[huge] + top[huge, None])[0]
+    return out
+
+
+def _sort_threshold(rows):
+    """``max(row - theta, 0)`` for each row, with theta ``(csum_k - 1) / k``
+    for the largest k whose k-th largest entry exceeds it (Duchi et al.,
+    2008), and the negated row maxima.
+
+    It sorts the negated rows ascending, so every quantity is the negative
+    of the textbook one: ``-csum_k`` exactly, and ``-theta`` up to the sign
+    of a zero, which the final clip to ``+0.0`` erases."""
+    sizes, starts = _ranks(*rows.shape)
+    low = np.negative(rows, order="C")
+    low.sort(axis=1)
+    tau = low.cumsum(axis=1)
+    tau += 1.0
+    tau /= sizes
+    # The support, where -low_k > -tau_k, is a prefix of each sorted row.
+    k = (low < tau).sum(axis=1)
+    k += starts
+    out = rows + tau.take(k)[:, None]
+    np.maximum(out, 0.0, out=out)
+    return out, low[:, 0]
+
+
+def _ranks(r, m):
+    """For ``r`` rows of length ``m``: the support sizes ``1..m`` as floats,
+    and the flat index of each row's first entry less 1.  Built once per
+    shape and read-only: a solve meets only its matrix, the transpose and
+    the row subsets an at-most-one side projects."""
+    ranks = _RANKS.get((r, m))
+    if ranks is None:
+        ranks = (np.arange(1, m + 1, dtype=np.float64), np.arange(-1, r * m - 1, m))
+        for a in ranks:
+            a.flags.writeable = False
+        _RANKS[r, m] = ranks
+    return ranks
 
 
 def project_rowwise(x, spec):

@@ -160,6 +160,9 @@ def tensor_from_lines(lines, path="tensor section"):
     order, dim = _ints(
         path, lines[0], 2, "bad tensor header, need 'order D dim n'", head[1::2] if keyed else []
     )
+    if order < 0:
+        # Refused here, as SparseTensor would: no entry dtype has -1 indices.
+        raise ValueError(f"{path}: order must be >= 0, got {order}")
     try:
         rows = _parse_rows(lines[1:], [("idx", np.int64, (order,)), ("val", np.float64)])
     except ValueError as exc:

@@ -190,15 +190,23 @@ def _tensor_pull(instance, d, blocks):
     mode d: modes below d see the current sweep's new iterates, modes
     above d the previous ones (blocks are read as currently stored).
     A maximization instance's potentials enter negated, so every block
-    minimizes."""
-    accumulate = np.subtract if instance.sense is Sense.MAXIMIZE else np.add
-    total = np.zeros(instance.n)
+    minimizes.  Returns a fresh array."""
+    maximize = instance.sense is Sense.MAXIMIZE
+    total = None
     for tensor in instance.potentials[d - 1 :]:
         if tensor.nnz == 0:
             continue
         part = partial_contraction(tensor, d, blocks[: d - 1], blocks[d : tensor.order])
-        accumulate(total, part, out=total)
-    return total
+        if total is None:
+            # A pull holds no -0.0 (each sparse row sum starts at +0.0), so
+            # part is 0 + part bit for bit; and 0 - part, unlike -part,
+            # keeps its zeros +0.0.
+            total = np.subtract(0.0, part, out=part) if maximize else part
+        elif maximize:
+            total -= part
+        else:
+            total += part
+    return np.zeros(instance.n) if total is None else total
 
 
 def projection_target(variant, d, state, instance):
@@ -209,11 +217,19 @@ def projection_target(variant, d, state, instance):
     sweep's values."""
     blocks, ys, rho = state.blocks, state.multipliers, state.rho
     (j, e, plus), *rest = variant.couplings(len(blocks))[1][d - 1]
-    near, dual = blocks[j], (ys[e] if plus else -ys[e])
+    # A lone -y_e is divided by -rho: the bits of -y_e / rho, one array
+    # operation fewer.
+    near, dual, scale = blocks[j], ys[e], (rho if plus else -rho)
+    if rest and not plus:
+        dual, scale = -dual, rho
     for j, e, plus in rest:
         near = near + blocks[j]
         dual = dual + ys[e] if plus else dual - ys[e]
-    target = near + dual / rho - _tensor_pull(instance, d, blocks) / rho
+    target = np.divide(dual, scale)
+    target += near
+    pull = _tensor_pull(instance, d, blocks)
+    pull /= rho
+    target -= pull
     if rest:
         target /= len(rest) + 1
     return target

@@ -290,29 +290,31 @@ def partial_contraction(tensor, open_mode, left, right):
     """
     if not 1 <= open_mode <= tensor.order:
         raise ValueError(f"open_mode must be in [1, {tensor.order}], got {open_mode}")
-    left = [np.asarray(v, dtype=np.float64) for v in left]
-    right = [np.asarray(v, dtype=np.float64) for v in right]
+    left, right = list(left), list(right)
     if len(left) != open_mode - 1:
         raise ValueError(f"expected {open_mode - 1} left vectors, got {len(left)}")
     if len(right) != tensor.order - open_mode:
         raise ValueError(
             f"expected {tensor.order - open_mode} right vectors, got {len(right)}"
         )
+    closed = []
     for v in left + right:
+        v = np.asarray(v, dtype=np.float64)
         if v.shape != (tensor.dim,):
             raise ValueError(f"vectors must have shape ({tensor.dim},)")
+        closed.append(v)
     if tensor.nnz == 0:
         return np.zeros(tensor.dim)
 
     half = tensor._half_operator()
     if half is not None:
-        u, v = left + right
+        u, v = closed
         return half @ (np.column_stack((u, v)) @ np.vstack((v, u))).ravel()
 
     # Each column's product of its row's closed-mode vector entries, taken
     # in mode order; the one empty row of an order-1 tensor has product 1.
     op, rows = tensor._contraction_operator(open_mode)
-    factors = [v[index] for v, index in zip(left + right, rows)] or [np.ones(1)]
+    factors = [v[index] for v, index in zip(closed, rows)] or [np.ones(1)]
     work = factors[0]
     for factor in factors[1:]:
         work *= factor

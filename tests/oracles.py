@@ -178,6 +178,32 @@ def kkt_simplex_projection(v, equality):
     return best
 
 
+def sort_threshold_reference(rows, equality):
+    """Row-wise projection in the textbook sort-and-threshold form (Duchi
+    et al., 2008), written as the package wrote it before its kernel cut
+    numpy calls: the kernel must match it bit for bit on every row whose
+    support count is at least 1.
+
+    With ``equality`` false, a row whose clipped sum is at most 1 keeps the
+    clipped row and any other row takes the equality projection.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    m = rows.shape[1]
+    desc = -np.sort(-rows, axis=1)
+    csum = np.cumsum(desc, axis=1)
+    counts = np.arange(1, m + 1, dtype=np.float64)
+    support = desc - (csum - 1.0) / counts > 0.0
+    k = support.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = (csum[np.arange(rows.shape[0]), k - 1] - 1.0) / k
+    projected = np.maximum(rows - theta[:, None], 0.0)
+    if equality:
+        return projected
+    clipped = np.maximum(rows, 0.0)
+    inside = clipped.sum(axis=1) <= 1.0
+    return np.where(inside[:, None], clipped, projected)
+
+
 def slsqp_simplex_projection(v, equality):
     """Projection via a general-purpose constrained optimizer (slow,
     used only for spot checks of the KKT oracle itself)."""

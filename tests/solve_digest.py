@@ -29,7 +29,8 @@ package of the checkout it lives in and hashes, section by section
 
 Floats are hashed bit for bit, so a digest depends on the platform and
 its numpy build: compare digests taken on one machine.  Pytest does not
-collect this file.
+collect this file; ``test_digest.py`` checks each section against the
+digests pinned there.
 """
 
 from __future__ import annotations
@@ -211,11 +212,22 @@ class Tee:
             digest.update(data)
 
 
+def new_digest():
+    return hashlib.blake2b(digest_size=16)
+
+
+def section_digest(feed_section):
+    """The hex digest of one section, as ``main`` prints it."""
+    section = new_digest()
+    feed_section(section)
+    return section.hexdigest()
+
+
 def main():
-    total = hashlib.blake2b(digest_size=16)
+    total = new_digest()
     lines = []
     for name, feed_section in SECTIONS:
-        section = hashlib.blake2b(digest_size=16)
+        section = new_digest()
         feed_section(Tee(total, section))
         lines.append(f"{name} {section.hexdigest()}")
     print(total.hexdigest())

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from adgm.constraints import (
     ConstraintSpec,
     SideMode,
     SimplexMode,
+    _project_rows,
     as_matrix,
     as_vector,
     assignment_index,
@@ -136,6 +138,86 @@ def test_simplex_idempotent_and_nonexpansive():
             pa, pb = project_simplex(a, mode), project_simplex(b, mode)
             assert np.allclose(project_simplex(pa, mode), pa, atol=1e-12)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "v, on_simplex, inside_simplex",
+    [
+        ([3e16, 1e16, -2e16], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([1e300, 1e300], [0.5, 0.5], [0.5, 0.5]),
+        ([-1e17, -1e17, -3e17], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]),
+        # csum - 1 rounds down by a unit here, so a support is found with
+        # theta one unit off: the unshifted threshold gave [2, 0, 0].
+        (
+            [1.2648906559317066e16, 2.749002012896436e15, 8.690245140446312e15],
+            [1.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+        ),
+    ],
+)
+def test_simplex_projection_of_huge_entries(v, on_simplex, inside_simplex):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        equal = project_simplex(np.array(v), SimplexMode.SUM_EQUALS_ONE)
+        at_most = project_simplex(np.array(v), SimplexMode.SUM_AT_MOST_ONE)
+    assert np.array_equal(equal, on_simplex)
+    assert np.array_equal(at_most, inside_simplex)
+
+
+def test_simplex_projection_stays_on_the_simplex_at_every_scale():
+    # Distinct entries this large lie far more than 1 apart, so the whole
+    # mass goes to the largest one.
+    rng = np.random.default_rng(19)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exponent in range(16, 301, 4):
+            for _ in range(10):
+                v = rng.normal(0.0, 1.0, int(rng.integers(1, 9))) * 10.0**exponent
+                got = project_simplex(v, SimplexMode.SUM_EQUALS_ONE)
+                assert np.array_equal(got, np.arange(v.size) == v.argmax())
+
+
+def _adversarial_rows(rng, r, m):
+    """Random rows with ties, signed zeros, subnormals, or already on the
+    simplex, in C or Fortran layout."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        rows = rng.integers(-3, 4, (r, m)) / 4.0
+    elif kind == 1:
+        rows = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0, -1.0], (r, m))
+    elif kind == 2:
+        rows = rng.choice([5e-324, -5e-324, 1e-310, -1e-310, 0.0, -0.0, 1.0], (r, m))
+    else:
+        rows = rng.dirichlet(np.ones(m), r)
+        rows[rng.random((r, m)) < 0.3] = 0.0
+        rows[:, 0] += 0.5
+        rows /= rows.sum(axis=1, keepdims=True)
+    return np.asfortranarray(rows) if rng.random() < 0.5 else rows
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_row_projection_is_bit_identical_to_the_reference_kernel(exact):
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        r, m = int(rng.integers(1, 7)), int(rng.integers(1, 10))
+        rows = _adversarial_rows(rng, r, m) if rng.random() < 0.7 else rng.normal(0, 1, (r, m))
+        got = _project_rows(rows, exact)
+        expected = oracles.sort_threshold_reference(rows, exact)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), rows
+
+
+def test_at_most_one_projection_keeps_inside_rows_and_projects_the_rest():
+    rng = np.random.default_rng(21)
+    mixed = 0
+    for _ in range(100):
+        rows = rng.uniform(-0.2, 0.6, (5, 4))
+        inside = np.maximum(rows, 0.0).sum(axis=1) <= 1.0
+        mixed += inside.any() and not inside.all()
+        got = _project_rows(rows, False)
+        expected = oracles.sort_threshold_reference(rows, False)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(got[inside], np.maximum(rows[inside], 0.0))
+    assert mixed > 50
 
 
 # -- row/column projections -------------------------------------------------

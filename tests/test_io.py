@@ -170,6 +170,11 @@ class TestTensor:
         with pytest.raises(ValueError, match="empty"):
             tensor_from_lines([])
 
+    @pytest.mark.parametrize("lines", [["order -1 dim 4"], ["order -1 dim 4", "0 1.0"]])
+    def test_negative_order_is_refused_naming_the_file(self, lines):
+        with pytest.raises(ValueError, match=r"^t\.txt: order must be >= 0, got -1$"):
+            tensor_from_lines(lines, path="t.txt")
+
     def test_wrong_arity_entry_is_rejected(self):
         with pytest.raises(ValueError, match="2 indices"):
             tensor_from_lines(["order 2 dim 4", "0 1 2 3.0"])
@@ -476,6 +481,7 @@ class TestInstance:
     @pytest.mark.parametrize(
         "section, message",
         [("order 0 dim 4\n5.0", "a potential tensor needs order >= 1, got 0"),
+         ("order -1 dim 4\n0 1.0", "order must be >= 0, got -1"),
          ("order 2 dim 4\n0 4 1.0", "tensor indices out of range [0, dim)"),
          ("order 2 dim 4\n0 1 inf", "tensor values must be finite")],
     )
