@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .constraints import assignment_index
-from .discretize import BruteForceLimits, brute_force_optimum
+from .discretize import brute_force_optimum
 from .errors import OracleRefusalError
-from .io import _data_lines
+from .io import _data_lines, _fmt
 from .models import MODELS, build_model, model_parameters
 from .solver import SolverConfig, Variant, energy, solve
 
@@ -152,7 +152,6 @@ class ExperimentConfig:
     unary_offset: float | None = None
     knn: int | None = None
     triangles: int | None = None
-    oracle_limits: BruteForceLimits = BruteForceLimits()
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -220,6 +219,7 @@ def run_experiment(config, out_dir=None):
 
     prefix = "out" if config.sweep == "outliers" else "sub"
     reports = []
+    groups = {}  # (sweep value, method) -> its reports, for the summary
     for vi, value in enumerate(config.values):
         n_inliers, n_outliers = config.resolve_sizes(value)
         for trial in range(config.trials):
@@ -232,7 +232,7 @@ def run_experiment(config, out_dir=None):
             truth_energy = energy(instance, truth)
             oracle_energy = None
             try:
-                _, oracle_energy = brute_force_optimum(instance, config.oracle_limits)
+                _, oracle_energy = brute_force_optimum(instance)
             except OracleRefusalError as exc:
                 logger.info("oracle refused for %s: %s", instance_id, exc)
             for method_name, method_config in config.methods:
@@ -248,28 +248,24 @@ def run_experiment(config, out_dir=None):
                         abs(result.energy_discrete - oracle_energy)
                         <= 1e-9 * max(1.0, abs(oracle_energy))
                     )
-                reports.append(
-                    TrialReport(
-                        instance_id=instance_id,
-                        method=method_name,
-                        objective=result.energy_discrete,
-                        objective_ratio=ratio,
-                        accuracy=accuracy(result.discrete, truth, n_inliers),
-                        matched=int(round(float(result.discrete.sum()))),
-                        iterations=result.iterations,
-                        converged=result.converged,
-                        time_ms=elapsed_ms,
-                        global_opt=global_opt,
-                    )
+                report = TrialReport(
+                    instance_id=instance_id,
+                    method=method_name,
+                    objective=result.energy_discrete,
+                    objective_ratio=ratio,
+                    accuracy=accuracy(result.discrete, truth, n_inliers),
+                    matched=int(round(float(result.discrete.sum()))),
+                    iterations=result.iterations,
+                    converged=result.converged,
+                    time_ms=elapsed_ms,
+                    global_opt=global_opt,
                 )
+                reports.append(report)
+                groups.setdefault((value, method_name), []).append(report)
     _write_trials_csv(target / "trials.csv", reports)
-    _write_summary_csv(target / "summary.csv", config, reports)
-    _write_plot_script(target / "plot.py")
+    _write_summary_csv(target / "summary.csv", groups)
+    (target / "plot.py").write_text(_PLOT_SCRIPT)
     return reports
-
-
-def _fmt(value):
-    return repr(float(value))
 
 
 def _write_trials_csv(path, reports):
@@ -294,40 +290,31 @@ def _write_trials_csv(path, reports):
 
 def _mean(values):
     values = list(values)
-    return sum(values) / len(values) if values else None
+    return sum(values) / len(values)
 
 
-def _write_summary_csv(path, config, reports):
-    prefix = "out" if config.sweep == "outliers" else "sub"
+def _write_summary_csv(path, groups):
+    """One row of means per ``(sweep value, method) -> reports`` group."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SUMMARY_COLUMNS)
-        for value in config.values:
-            for method_name, _ in config.methods:
-                group = [
-                    r
-                    for r in reports
-                    if r.method == method_name
-                    and r.instance_id.startswith(f"{prefix}{value}_")
+        for (value, method_name), group in groups.items():
+            ratios = [r.objective_ratio for r in group if r.objective_ratio is not None]
+            opts = [r.global_opt for r in group if r.global_opt is not None]
+            writer.writerow(
+                [
+                    value,
+                    method_name,
+                    _fmt(_mean(r.objective for r in group)),
+                    "" if not ratios else _fmt(_mean(ratios)),
+                    _fmt(_mean(r.accuracy for r in group)),
+                    _fmt(_mean(r.matched for r in group)),
+                    _fmt(_mean(r.iterations for r in group)),
+                    _fmt(_mean(1.0 if r.converged else 0.0 for r in group)),
+                    f"{_mean(r.time_ms for r in group):.3f}",
+                    "" if not opts else _fmt(_mean(1.0 if o else 0.0 for o in opts)),
                 ]
-                if not group:
-                    continue
-                ratios = [r.objective_ratio for r in group if r.objective_ratio is not None]
-                opts = [r.global_opt for r in group if r.global_opt is not None]
-                writer.writerow(
-                    [
-                        value,
-                        method_name,
-                        _fmt(_mean(r.objective for r in group)),
-                        "" if not ratios else _fmt(_mean(ratios)),
-                        _fmt(_mean(r.accuracy for r in group)),
-                        _fmt(_mean(r.matched for r in group)),
-                        _fmt(_mean(r.iterations for r in group)),
-                        _fmt(_mean(1.0 if r.converged else 0.0 for r in group)),
-                        f"{_mean(r.time_ms for r in group):.3f}",
-                        "" if not opts else _fmt(_mean(1.0 if o else 0.0 for o in opts)),
-                    ]
-                )
+            )
 
 
 _PLOT_SCRIPT = '''#!/usr/bin/env python3
@@ -363,10 +350,6 @@ for metric, fname in (("mean_accuracy", "accuracy.png"), ("mean_objective", "obj
 '''
 
 
-def _write_plot_script(path):
-    Path(path).write_text(_PLOT_SCRIPT)
-
-
 # -- experiment config files ------------------------------------------
 
 def _sweep_values(text):
@@ -384,7 +367,7 @@ def _optional_float(text):
 
 def _out_dir(text):
     if not text:
-        raise ValueError("config key 'out' needs a directory")
+        raise ValueError("needs a directory")
     return text
 
 
@@ -447,7 +430,14 @@ def read_experiment_config(path):
         raise ValueError(f"{path}: missing required key 'values'")
 
     def parsed(table):
-        return {key: parse(entries[key]) for key, parse in table.items() if key in entries}
+        values = {}
+        for key, parse in table.items():
+            if key in entries:
+                try:
+                    values[key] = parse(entries[key])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: config key {key!r}: {exc}") from None
+        return values
 
     transform = Transform(**parsed(_TRANSFORM_KEYS))
     solver = parsed(_SOLVER_KEYS)

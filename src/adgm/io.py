@@ -275,11 +275,8 @@ def read_instance(path):
         if key in fields:
             raise ValueError(f"{path}: instance field {key!r} is given twice")
         fields[key] = line, rest.strip()
-    sections = [
-        tensor_from_lines(lines[start + 1 : end], path)
-        for start, end in zip(bounds, bounds[1:])
-    ]
 
+    # Every header field is checked before any tensor section is parsed.
     missing = set(_FIELDS) - {"truth"} - set(fields)
     if missing:
         raise ValueError(f"{path}: missing instance fields {sorted(missing)}")
@@ -291,9 +288,15 @@ def read_instance(path):
     (n1,), (n2,) = ints("n1", 1, "one integer"), ints("n2", 1, "one integer")
     rows, cols = (_named(path, SideMode.parse, fields[key][1]) for key in ("rows", "cols"))
     spec = _named(path, ConstraintSpec, n1, n2, rows, cols)
+    truth = None
+    if "truth" in fields:
+        targets = ints("truth", None, "integer row targets")
+        truth = _named(path, row_targets_to_truth, targets, n1, n2)
+    sense = _named(path, Sense.parse, fields["sense"][1])
     n = n1 * n2
     by_order = {}
-    for tensor in sections:
+    for start, end in zip(bounds, bounds[1:]):
+        tensor = tensor_from_lines(lines[start + 1 : end], path)
         if tensor.order < 1:
             raise ValueError(f"{path}: a potential tensor needs order >= 1, got {tensor.order}")
         if tensor.dim != n:
@@ -305,11 +308,6 @@ def read_instance(path):
     potentials = tuple(
         by_order.get(k, SparseTensor.empty(k, n)) for k in range(1, max_order + 1)
     )
-    truth = None
-    if "truth" in fields:
-        targets = ints("truth", None, "integer row targets")
-        truth = _named(path, row_targets_to_truth, targets, n1, n2)
-    sense = _named(path, Sense.parse, fields["sense"][1])
     return _named(path, MatchingInstance, n1, n2, potentials, spec, sense, truth)
 
 

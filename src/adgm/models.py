@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .constraints import ConstraintSpec, assignment_index
+from .constraints import ConstraintSpec, as_vector, assignment_index
 from .solver import MatchingInstance, Sense
 from .tensor import SparseTensor
 
@@ -52,25 +52,17 @@ def pair_geometry(points1, i, j, points2, i2, j2):
     """Compare segment (i -> j) of the first set with (i2 -> j2) of the
     second: returns ``(delta, cos_alpha)`` where delta is the relative
     length difference |d1 - d2| / (d1 + d2) and cos_alpha the cosine of
-    the turning angle between the segments.
+    the turning angle between the segments, exactly as the builders
+    compute them.
 
     Coincident endpoints carry no geometric evidence: when both segments
     are degenerate the pair scores as identical (0, 1); when only one is,
     the angle is treated as aligned (cos 1) while delta keeps its value.
     """
-    points1 = _as_points(points1)
-    points2 = _as_points(points2)
-    v1 = points1[j] - points1[i]
-    v2 = points2[j2] - points2[i2]
-    d1 = float(np.hypot(*v1))
-    d2 = float(np.hypot(*v2))
-    if d1 + d2 < _DEGENERATE_LENGTH:
-        return 0.0, 1.0
-    delta = abs(d1 - d2) / (d1 + d2)
-    if d1 < _DEGENERATE_LENGTH or d2 < _DEGENERATE_LENGTH:
-        return delta, 1.0
-    cos_alpha = float(np.dot(v1, v2) / (d1 * d2))
-    return delta, float(np.clip(cos_alpha, -1.0, 1.0))
+    d1, u1 = _segment_table(_as_points(points1), [i], [j])
+    d2, u2 = _segment_table(_as_points(points2), [i2], [j2])
+    delta, cos_alpha = _pair_values(d1, u1, d2, u2)
+    return float(delta[0, 0]), float(cos_alpha[0, 0])
 
 
 def _segment_table(points, sources, targets):
@@ -83,10 +75,8 @@ def _segment_table(points, sources, targets):
 
 
 def _pair_values(d1, u1, d2, u2):
-    """delta and cos_alpha for every segment of set 1 against set 2.
-
-    Returns (E1, E2) arrays mirroring pair_geometry's guards.
-    """
+    """delta and cos_alpha (see pair_geometry) for every segment of set 1
+    against every segment of set 2."""
     sums = d1[:, None] + d2[None, :]
     diffs = np.abs(d1[:, None] - d2[None, :])
     both_degenerate = sums < _DEGENERATE_LENGTH
@@ -169,22 +159,18 @@ def build_pairwise_a(
     if unary.shape != (n1, n2):
         raise ValueError(f"unary must have shape ({n1}, {n2}), got {unary.shape}")
 
-    i1, i2 = np.meshgrid(np.arange(n1), np.arange(n2), indexing="ij")
     unary_tensor = SparseTensor(
-        1,
-        n1 * n2,
-        assignment_index(i1.ravel(), i2.ravel(), n1)[:, None],
-        (unary - unary_offset).ravel(),
+        1, n1 * n2, np.arange(n1 * n2)[:, None], as_vector(unary - unary_offset)
     )
 
     pair1 = _normalized_edges(edges1, n1)
     pair2 = _normalized_edges(edges2, n2)
     if pair1 and pair2:
         # Both orientations of every unordered edge.
-        s1 = np.array([e[0] for e in pair1] + [e[1] for e in pair1])
-        t1 = np.array([e[1] for e in pair1] + [e[0] for e in pair1])
-        s2 = np.array([e[0] for e in pair2] + [e[1] for e in pair2])
-        t2 = np.array([e[1] for e in pair2] + [e[0] for e in pair2])
+        (s1, t1), (s2, t2) = (
+            np.concatenate([pairs, np.flip(pairs, axis=1)]).T
+            for pairs in (np.array(pair1), np.array(pair2))
+        )
         d1, u1 = _segment_table(pts1, s1, t1)
         d2, u2 = _segment_table(pts2, s2, t2)
         delta, cos_alpha = _pair_values(d1, u1, d2, u2)
@@ -202,40 +188,42 @@ def build_pairwise_a(
     )
 
 
-def build_pairwise_b(points1, points2, sigma2=2500.0, spec=None, ground_truth=None):
-    """Fully connected length-preservation affinity (maximization):
-    ``exp(-|d1 - d2| / sigma2)`` for every ordered node pair of each set;
-    unaries zero."""
+def _fully_connected(points1, points2, spec, sense, ground_truth, score):
+    """Instance with one pairwise entry per ordered node pair of each set,
+    valued ``score(d1, u1, d2, u2)`` over their segment tables (see
+    _segment_table); unaries zero."""
     pts1 = _as_points(points1)
     pts2 = _as_points(points2)
     n1, n2 = pts1.shape[0], pts2.shape[0]
     spec = _resolve_spec(spec, n1, n2)
     s1, t1 = _directed_pairs(n1)
     s2, t2 = _directed_pairs(n2)
-    d1, _ = _segment_table(pts1, s1, t1)
-    d2, _ = _segment_table(pts2, s2, t2)
-    values = np.exp(-np.abs(d1[:, None] - d2[None, :]) / sigma2)
+    values = score(*_segment_table(pts1, s1, t1), *_segment_table(pts2, s2, t2))
     pairwise = _pairwise_tensor(n1, n2, s1, t1, s2, t2, values)
     potentials = (SparseTensor.empty(1, n1 * n2), pairwise)
-    return MatchingInstance(n1, n2, potentials, spec, Sense.MAXIMIZE, ground_truth)
+    return MatchingInstance(n1, n2, potentials, spec, sense, ground_truth)
+
+
+def build_pairwise_b(points1, points2, sigma2=2500.0, spec=None, ground_truth=None):
+    """Fully connected length-preservation affinity (maximization):
+    ``exp(-|d1 - d2| / sigma2)`` for every ordered node pair of each set;
+    unaries zero."""
+
+    def score(d1, u1, d2, u2):
+        return np.exp(-np.abs(d1[:, None] - d2[None, :]) / sigma2)
+
+    return _fully_connected(points1, points2, spec, Sense.MAXIMIZE, ground_truth, score)
 
 
 def build_pairwise_c(points1, points2, eta=0.5, spec=None, ground_truth=None):
     """Fully connected length + direction dissimilarity (minimization):
     ``eta * delta + (1 - eta) * (1 - cos_alpha) / 2``; unaries zero."""
-    pts1 = _as_points(points1)
-    pts2 = _as_points(points2)
-    n1, n2 = pts1.shape[0], pts2.shape[0]
-    spec = _resolve_spec(spec, n1, n2)
-    s1, t1 = _directed_pairs(n1)
-    s2, t2 = _directed_pairs(n2)
-    d1, u1 = _segment_table(pts1, s1, t1)
-    d2, u2 = _segment_table(pts2, s2, t2)
-    delta, cos_alpha = _pair_values(d1, u1, d2, u2)
-    values = eta * delta + (1.0 - eta) * (1.0 - cos_alpha) / 2.0
-    pairwise = _pairwise_tensor(n1, n2, s1, t1, s2, t2, values)
-    potentials = (SparseTensor.empty(1, n1 * n2), pairwise)
-    return MatchingInstance(n1, n2, potentials, spec, Sense.MINIMIZE, ground_truth)
+
+    def score(d1, u1, d2, u2):
+        delta, cos_alpha = _pair_values(d1, u1, d2, u2)
+        return eta * delta + (1.0 - eta) * (1.0 - cos_alpha) / 2.0
+
+    return _fully_connected(points1, points2, spec, Sense.MINIMIZE, ground_truth, score)
 
 
 def _triangle_features(points, triples):

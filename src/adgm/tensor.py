@@ -225,22 +225,18 @@ def _is_supersymmetric(tensor):
     bit for bit.  Adjacent transpositions generate all permutations, so it
     checks that swapping modes m and m+1 maps the stored index rows onto
     themselves and every value onto an equal one: the stored rows are
-    sorted and distinct, so sorting the swapped rows must give them back."""
+    sorted and distinct, so sorting the swapped rows must give them back.
+    ``dim**order`` must fit the int64 row keys, as it does for every
+    tensor _half_operator checks."""
     order, dim = tensor.order, tensor.dim
     indices, values = tensor.indices, tensor.values
     keys = _row_keys(order, dim, indices)
     for m in range(order - 1):
         modes = list(range(order))
         modes[m : m + 2] = m + 1, m
-        if keys is None:
-            swapped = indices[:, modes]
-            perm = np.lexsort(swapped.T[::-1])
-            same = np.array_equal(swapped[perm], indices)
-        else:
-            swapped = _row_keys(order, dim, indices, modes)
-            perm = np.argsort(swapped)
-            same = np.array_equal(swapped[perm], keys)
-        if not (same and np.array_equal(values[perm], values)):
+        swapped = _row_keys(order, dim, indices, modes)
+        perm = np.argsort(swapped)
+        if not (np.array_equal(swapped[perm], keys) and np.array_equal(values[perm], values)):
             return False
     return True
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,20 @@ class TestReadExperimentConfig:
             read_experiment_config(path)
         path.write_text("model = c\nvalues = 0\nmodel = b\n")
         with pytest.raises(ValueError, match="config key 'model' is given twice"):
+            read_experiment_config(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("trials = x", "config key 'trials': invalid literal for int() with base 10: 'x'"),
+         ("values = 0,a", "config key 'values': invalid literal for int() with base 10: 'a'"),
+         ("beta = fast", "config key 'beta': could not convert string to float: 'fast'")],
+        ids=["trials", "values", "beta"],
+    )
+    def test_malformed_value_names_the_file_and_the_key(self, tmp_path, line, message):
+        path = tmp_path / "bench.cfg"
+        values = "" if line.startswith("values") else "values = 0\n"
+        path.write_text(f"model = c\n{values}{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             read_experiment_config(path)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import oracles
 import pytest
 
+from adgm import io as io_module
 from adgm.constraints import ConstraintSpec, SideMode
 from adgm.io import (
     read_edges,
@@ -473,6 +474,25 @@ class TestInstance:
          ("sense minimize", "sense bogus", "unknown sense 'bogus'")],
     )
     def test_bad_header_value_names_the_file(self, tmp_path, old, new, message):
+        path = tmp_path / "instance.txt"
+        path.write_text(_HEADER.replace(old, new))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_instance(path)
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("n1 2", "n1 0", "n1 and n2 must be >= 1"),
+         ("sense minimize\n", "", "missing instance fields ['sense']"),
+         ("rows exactly-one", "rows bogus", "unknown side mode 'bogus'")],
+        ids=["n1-zero", "no-sense", "bogus-rows"],
+    )
+    def test_header_is_refused_before_any_tensor_section_is_parsed(
+        self, tmp_path, monkeypatch, old, new, message
+    ):
+        def parse(*args):
+            raise AssertionError("a tensor section was parsed")
+
+        monkeypatch.setattr(io_module, "tensor_from_lines", parse)
         path = tmp_path / "instance.txt"
         path.write_text(_HEADER.replace(old, new))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):

@@ -1,7 +1,7 @@
 """Tests for the geometric model builders and their helpers."""
 
 import math
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -101,6 +101,20 @@ class TestPairGeometry:
             assert cos_alpha == pytest.approx(ref_c, abs=1e-12)
             assert 0.0 <= delta <= 1.0
             assert -1.0 <= cos_alpha <= 1.0
+
+    def test_returns_the_values_the_builders_store(self):
+        rng = np.random.default_rng(3)
+        eta = 0.5
+        for _ in range(10):
+            p = rng.normal(size=(5, 2)) * rng.uniform(0.01, 100.0)
+            q = rng.normal(size=(4, 2))
+            q[3] = q[0]  # one coincident pair: degenerate segments
+            stored = entries(build_pairwise_c(p, q, eta=eta).potentials[1])
+            for (i, j), (i2, j2) in product(permutations(range(5), 2), permutations(range(4), 2)):
+                delta, cos_alpha = pair_geometry(p, i, j, q, i2, j2)
+                value = eta * delta + (1.0 - eta) * (1.0 - cos_alpha) / 2.0
+                key = (assignment_index(i, i2, 5), assignment_index(j, j2, 5))
+                assert stored.get(key, 0.0) == value
 
     def test_invariant_to_translation_and_uniform_scale(self):
         rng = np.random.default_rng(11)
@@ -368,6 +382,14 @@ class TestThirdOrder:
             assert got[key] == pytest.approx(value, abs=1e-12)
         assert inst.potentials[0].nnz == 0
         assert inst.potentials[1].nnz == 0
+
+    def test_all_kept_distances_zero_score_one(self):
+        # Every ordered triple of an equilateral triangle has the source's
+        # features, so the kept distances, and their mean gamma, are 0.
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+        third = build_third_order(tri, tri, knn=1).potentials[2]
+        assert third.nnz == 6
+        assert np.array_equal(third.values, np.ones(6))
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(37)

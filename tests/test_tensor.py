@@ -433,12 +433,11 @@ def test_supersymmetric_tensor_beyond_the_cap_takes_the_per_mode_operators(monke
     assert t._contract_cache["half"] is None
 
 
-@pytest.mark.parametrize("dim", [7, (1 << 21) + 1], ids=["int64-keys", "row-sort"])
-def test_symmetry_check_with_and_without_int64_keys(dim):
+def test_symmetry_check_finds_a_missing_copy_and_a_one_ulp_change():
     rng = np.random.default_rng(14)
-    assert _is_supersymmetric(_orbit_tensor(rng, dim))
+    assert _is_supersymmetric(_orbit_tensor(rng, 7))
     for kind in ("missing-copy", "one-ulp-off"):
-        assert not _is_supersymmetric(_off_symmetry(rng, dim, kind))
+        assert not _is_supersymmetric(_off_symmetry(rng, 7, kind))
 
 
 def test_symmetry_is_checked_once_per_tensor(monkeypatch):
