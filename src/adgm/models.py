@@ -58,9 +58,16 @@ def pair_geometry(points1, i, j, points2, i2, j2):
     Coincident endpoints carry no geometric evidence: when both segments
     are degenerate the pair scores as identical (0, 1); when only one is,
     the angle is treated as aligned (cos 1) while delta keeps its value.
+    Every endpoint must lie in ``[0, n)`` for its set of ``n`` points.
     """
-    d1, u1 = _segment_table(_as_points(points1), [i], [j])
-    d2, u2 = _segment_table(_as_points(points2), [i2], [j2])
+    points1, points2 = _as_points(points1), _as_points(points2)
+    for points, index in ((points1, i), (points1, j), (points2, i2), (points2, j2)):
+        if not 0 <= index < len(points):
+            raise ValueError(
+                f"segment endpoint {index} out of range for {len(points)} points"
+            )
+    d1, u1 = _segment_table(points1, [i], [j])
+    d2, u2 = _segment_table(points2, [i2], [j2])
     delta, cos_alpha = _pair_values(d1, u1, d2, u2)
     return float(delta[0, 0]), float(cos_alpha[0, 0])
 

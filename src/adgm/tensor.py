@@ -11,8 +11,10 @@ a parallel value array) and are canonical by construction: indices sorted
 lexicographically, duplicate indices merged by summation, exact zeros
 dropped.  Instances are immutable.  ``partial_contraction`` caches, on
 first use, one sparse matrix per open mode whose columns are the distinct
-closed-mode index rows that occur, or a single half-size one for every
-mode of an exactly supersymmetric order-3 tensor.
+closed-mode index rows that occur.  An exactly supersymmetric order-3
+tensor instead caches one half-size set of entries, grouped by closed
+column, that every mode shares: its pull still forms the dense ``dim**2``
+work vector, and applies only the columns where that vector is nonzero.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from itertools import permutations
 import numpy as np
 from scipy import sparse
 
-# Largest dim**2 for which _half_operator builds its dense dim**2 work
-# vector; a supersymmetric order-3 tensor beyond it takes the per-mode
+# Largest dim**2 for which a supersymmetric order-3 tensor takes the half
+# operator, whose pull forms a dense dim**2 work vector and whose column
+# pointers have dim**2 + 1 entries; beyond it the tensor takes the per-mode
 # operators.
 _MATVEC_CAP = 1 << 20
 
@@ -145,15 +148,17 @@ class SparseTensor:
         return cached
 
     def _half_operator(self):
-        """One sparse matrix for every mode of a supersymmetric order-3
-        tensor, or None for any other tensor.
+        """The entries every mode's pull of a supersymmetric order-3 tensor
+        reads, grouped by column, or None for any other tensor.
 
-        Row ``a``, column ``b * dim + c``, holding only the entries with
-        ``b <= c``; those with ``b == c`` at half their value.  Applied to
-        the symmetric ``u (x) v + v (x) u`` it sums ``T[a, b, c] u_b v_c``
-        over all ``(b, c)``, as each per-mode operator does.  Whether the
-        tensor is exactly supersymmetric is checked on the first call and
-        cached with the operator.
+        Only the entries ``T[a, b, c]`` with ``b <= c`` are kept, those with
+        ``b == c`` at half their value.  They come back as ``(starts, rows,
+        values)``: the entries of column ``k = b * dim + c`` are
+        ``starts[k]:starts[k + 1]``, with their rows ``a`` ascending.
+        Applied to the symmetric ``u (x) v + v (x) u`` they sum
+        ``T[a, b, c] u_b v_c`` over all ``(b, c)``, as each per-mode
+        operator does.  Whether the tensor is exactly supersymmetric is
+        checked on the first call and cached with the entries.
         """
         cache = self._contract_cache
         if "half" not in cache:
@@ -163,9 +168,14 @@ class SparseTensor:
                 a, b, c = self.indices.T
                 keep = b <= c
                 values = np.where(b == c, 0.5 * self.values, self.values)[keep]
-                cache["half"] = sparse.csr_matrix(
-                    (values, (a[keep], b[keep] * self.dim + c[keep])),
-                    shape=(self.dim, self.dim**2),
+                op = sparse.csr_matrix(
+                    (values, (b[keep] * self.dim + c[keep], a[keep])),
+                    shape=(self.dim**2, self.dim),
+                )
+                cache["half"] = (
+                    op.indptr.astype(np.intp),
+                    op.indices.astype(np.intp),
+                    op.data,
                 )
         return cache["half"]
 
@@ -304,8 +314,23 @@ def partial_contraction(tensor, open_mode, left, right):
 
     half = tensor._half_operator()
     if half is not None:
+        starts, rows, values = half
         u, v = closed
-        return half @ (np.column_stack((u, v)) @ np.vstack((v, u))).ravel()
+        work = (np.column_stack((u, v)) @ np.vstack((v, u))).ravel()
+        # A zero work entry only adds +-0.0 to a row sum that starts at +0.0,
+        # which leaves it unchanged, so only the nonzero columns are applied.
+        # Their entries are taken in ascending column order, the order in
+        # which a row-major product adds each row's terms: bit-identical.
+        cols = np.flatnonzero(work != 0)
+        first = starts[cols]
+        lens = starts[cols + 1] - first
+        # The kept columns' entries, one column's run after another.
+        offsets = np.repeat(first - np.cumsum(lens) + lens, lens)
+        picked = np.arange(offsets.size) + offsets
+        terms = values[picked] * np.repeat(work[cols], lens)
+        # bincount gives int64 zeros when no term is left.
+        pull = np.bincount(rows[picked], weights=terms, minlength=tensor.dim)
+        return pull.astype(np.float64, copy=False)
 
     # Each column's product of its row's closed-mode vector entries, taken
     # in mode order; the one empty row of an order-1 tensor has product 1.

@@ -76,6 +76,24 @@ def per_mode_partial_contraction(tensor, open_mode, left, right):
     return op @ work.ravel()
 
 
+def half_operator_partial_contraction(tensor, left, right):
+    """Any mode's pull of an exactly supersymmetric order-3 tensor through
+    one row-major CSR matrix of its entries with ``b <= c`` (those with
+    ``b == c`` at half their value): row ``a``, column ``b * dim + c``,
+    applied to the whole ``u (x) v + v (x) u`` in one sparse product.
+    Nothing is skipped, so every row sums all of its terms in column
+    order."""
+    u, v = [np.asarray(x, dtype=np.float64) for x in list(left) + list(right)]
+    a, b, c = tensor.indices.T
+    keep = b <= c
+    values = np.where(b == c, 0.5 * tensor.values, tensor.values)[keep]
+    op = sparse.csr_matrix(
+        (values, (a[keep], b[keep] * tensor.dim + c[keep])),
+        shape=(tensor.dim, tensor.dim**2),
+    )
+    return op @ (np.column_stack((u, v)) @ np.vstack((v, u))).ravel()
+
+
 def gather_partial_contraction(tensor, open_mode, left, right):
     """``partial_contraction`` entry by entry: gather each entry's
     closed-mode vector factors, multiply them into its value, and

@@ -102,6 +102,16 @@ class TestPairGeometry:
             assert 0.0 <= delta <= 1.0
             assert -1.0 <= cos_alpha <= 1.0
 
+    @pytest.mark.parametrize("endpoint", [0, 1, 2, 3])
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_refuses_an_endpoint_outside_its_set(self, endpoint, index):
+        p = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        args = [p, 0, 1, p, 2, 0]
+        args[[1, 2, 4, 5][endpoint]] = index
+        message = f"endpoint {index} out of range for 3 points"
+        with pytest.raises(ValueError, match=message):
+            pair_geometry(*args)
+
     def test_returns_the_values_the_builders_store(self):
         rng = np.random.default_rng(3)
         eta = 0.5

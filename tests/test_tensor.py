@@ -381,12 +381,70 @@ def test_supersymmetric_order3_contracts_through_one_half_operator(monkeypatch, 
             )
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
         monkeypatch.undo()
-        # Row a, column b * dim + c, only b <= c: one operator for all modes.
+        # One set of entries for all modes: only b <= c, grouped by column
+        # b * dim + c, with the rows a ascending inside each column.
         assert len(built) == 1
-        half = t._contract_cache["half"]
-        _, cols = half.nonzero()
-        assert half.nnz == np.count_nonzero(t.indices[:, 1] <= t.indices[:, 2])
+        starts, rows, values = t._contract_cache["half"]
+        a, b, c = t.indices.T
+        keep = b <= c
+        assert starts.shape == (dim**2 + 1,) and starts[0] == 0
+        assert rows.size == values.size == starts[-1] == np.count_nonzero(keep)
+        cols = np.repeat(np.arange(dim**2), np.diff(starts))
         assert np.all(cols // dim <= cols % dim)
+        kept = np.sort(((b * dim + c) * dim + a)[keep])
+        assert np.array_equal(cols * dim + rows, kept)
+
+
+# Floats that stress a sum: signed zeros, subnormals, huge values, inf, NaN.
+_SPECIAL = np.array(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.inf, -np.inf, np.nan]
+)
+
+
+def _block(rng, dim, density):
+    """A block vector that is zero outside a random support, as a simplex
+    projection mostly is, with some entries swapped for special floats."""
+    x = np.where(rng.random(dim) < density, rng.normal(size=dim), 0.0)
+    special = rng.random(dim) < 0.1
+    x[special] = rng.choice(_SPECIAL, size=np.count_nonzero(special))
+    return x
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 12])
+def test_half_operator_pulls_are_bit_equal_to_the_row_major_product(dim):
+    # Skipping the zero work columns must not move one bit of any pull.
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(40):
+        scale = rng.choice([1.0, 1e-310, 1e300])
+        nnz = int(rng.integers(1, 4 * dim**2 + 1))
+        t = symmetrize(random_sparse_tensor(rng, 3, dim, nnz=nnz, scale=scale))
+        assert t._half_operator() is not None
+        for open_mode in (1, 2, 3):
+            density = rng.choice([0.1, 0.5, 1.0])
+            blocks = [_block(rng, dim, density), _block(rng, dim, density)]
+            left, right = blocks[: open_mode - 1], blocks[open_mode - 1 :]
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = partial_contraction(t, open_mode, left, right)
+                expected = oracles.half_operator_partial_contraction(t, left, right)
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_half_operator_pull_of_a_zero_block_is_positive_zero(dim):
+    rng = np.random.default_rng(50 + dim)
+    t = symmetrize(random_sparse_tensor(rng, 3, dim, nnz=3 * dim))
+    assert t._half_operator() is not None
+    # A negative partner turns every product with +0.0 into -0.0.
+    other = -1.0 - np.abs(rng.normal(size=dim))
+    for zero in (np.zeros(dim), np.full(dim, -0.0)):
+        for blocks in ([zero, other], [other, zero]):
+            for open_mode in (1, 2, 3):
+                left, right = blocks[: open_mode - 1], blocks[open_mode - 1 :]
+                got = partial_contraction(t, open_mode, left, right)
+                assert got.dtype == np.float64
+                assert got.tobytes() == np.zeros(dim).tobytes()
+                expected = oracles.half_operator_partial_contraction(t, left, right)
+                assert got.tobytes() == expected.tobytes()
 
 
 def _off_symmetry(rng, dim, kind):
