@@ -13,22 +13,31 @@ dropped.  Instances are immutable.  ``partial_contraction`` caches, on
 first use, one sparse matrix per open mode whose columns are the distinct
 closed-mode index rows that occur.  An exactly supersymmetric order-3
 tensor instead caches one half-size set of entries, grouped by closed
-column, that every mode shares: its pull still forms the dense ``dim**2``
-work vector, and applies only the columns where that vector is nonzero.
+column, that every mode shares.  Its pull forms ``u (x) v + v (x) u`` only
+on the blocks' support ``S``, the indices where either is nonzero, and
+applies a plan of the entries in the columns of ``S x S``, cached for the
+last few supports.  Only the full support, which a solve's uniform start
+and non-finite blocks take, forms the dense ``dim**2`` work vector.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from itertools import permutations
 
 import numpy as np
 from scipy import sparse
 
 # Largest dim**2 for which a supersymmetric order-3 tensor takes the half
-# operator, whose pull forms a dense dim**2 work vector and whose column
-# pointers have dim**2 + 1 entries; beyond it the tensor takes the per-mode
-# operators.
+# operator, whose column pointers have dim**2 + 1 entries and whose pull
+# forms a dense dim**2 work vector for the full support; beyond it the
+# tensor takes the per-mode operators.
 _MATVEC_CAP = 1 << 20
+
+# Supports whose half-operator pull plans a tensor keeps, the most recently
+# used last.  A solve's late pulls mostly repeat a recent support.
+_PLANS = 8
 
 # Mixed-radix index keys run over [0, dim**order); int64 holds them while
 # dim**order is at most this.  Larger tensors sort their index rows as rows.
@@ -50,11 +59,23 @@ class SparseTensor:
 
         if indices is None:
             indices = np.empty((0, order), dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
         if indices.ndim != 2 or indices.shape[1] != order:
             raise ValueError(
                 f"indices must have shape (nnz, {order}), got {indices.shape}"
             )
+        if indices.dtype.kind not in "iu":
+            with np.errstate(invalid="ignore"):
+                cast = indices.astype(np.int64)
+            changed = np.argwhere(cast != indices)
+            if changed.size:
+                entry, mode = changed[0]
+                raise ValueError(
+                    f"tensor indices must be integers, got {indices[entry, mode]} "
+                    f"in entry {entry}"
+                )
+            indices = cast
+        indices = indices.astype(np.int64, copy=False)
         if values is None:
             values = np.empty(0, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
@@ -165,6 +186,7 @@ class SparseTensor:
             cache["half"] = None
             fits = self.order == 3 and self.dim**2 <= _MATVEC_CAP
             if fits and _is_supersymmetric(self):
+                cache["plans"] = {}
                 a, b, c = self.indices.T
                 keep = b <= c
                 values = np.where(b == c, 0.5 * self.values, self.values)[keep]
@@ -178,6 +200,37 @@ class SparseTensor:
                     op.data,
                 )
         return cache["half"]
+
+    def _support_plan(self, support):
+        """The half operator's entries in the columns ``b * dim + c`` with
+        ``b`` and ``c`` in ``support``, a sorted index array, as ``(rows,
+        values, which)``: ``which`` is each entry's flat index into the
+        row-major ``|support| x |support|`` grid of those columns.  Entries
+        come in ascending column order, rows ascending inside a column.
+
+        Plans of the last ``_PLANS`` supports are cached; the full
+        support's, which is the uniform start of a solve, is not.
+        """
+        plans = self._contract_cache["plans"]
+        key = support.tobytes()
+        plan = plans.pop(key, None)
+        if plan is None:
+            starts, rows, values = self._half_operator()
+            m = support.size
+            # Columns with b > c hold no entries, so the whole grid is taken.
+            cols = (support[:, None] * self.dim + support).ravel()
+            first = starts[cols]
+            lens = starts[cols + 1] - first
+            # The columns' entries, one column's run after another.
+            offsets = np.repeat(first - np.cumsum(lens) + lens, lens)
+            picked = np.arange(offsets.size) + offsets
+            plan = rows[picked], values[picked], np.repeat(np.arange(m * m), lens)
+            if m == self.dim:
+                return plan
+            if len(plans) == _PLANS:
+                del plans[next(iter(plans))]
+        plans[key] = plan
+        return plan
 
 
 def _canonicalize(order, dim, indices, values):
@@ -273,10 +326,20 @@ def multilinear_form(tensor, vectors):
     return float(factor.sum())
 
 
+def _checked_mode(name, mode, order):
+    """``mode`` as an int in ``[1, order]``; a ValueError names it otherwise."""
+    try:
+        mode = operator.index(mode)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {mode!r}") from None
+    if not 1 <= mode <= order:
+        raise ValueError(f"{name} must be in [1, {order}], got {mode}")
+    return mode
+
+
 def mode_product(tensor, mode, vector):
     """Contract one mode with a vector, returning an order-1 lower tensor."""
-    if not 1 <= mode <= tensor.order:
-        raise ValueError(f"mode must be in [1, {tensor.order}], got {mode}")
+    mode = _checked_mode("mode", mode, tensor.order)
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape != (tensor.dim,):
         raise ValueError(f"vector must have shape ({tensor.dim},)")
@@ -294,8 +357,7 @@ def partial_contraction(tensor, open_mode, left, right):
     the sum of ``value * prod(closed-mode vector entries)`` over stored
     entries whose open-mode index is ``a``.
     """
-    if not 1 <= open_mode <= tensor.order:
-        raise ValueError(f"open_mode must be in [1, {tensor.order}], got {open_mode}")
+    open_mode = _checked_mode("open_mode", open_mode, tensor.order)
     left, right = list(left), list(right)
     if len(left) != open_mode - 1:
         raise ValueError(f"expected {open_mode - 1} left vectors, got {len(left)}")
@@ -312,24 +374,30 @@ def partial_contraction(tensor, open_mode, left, right):
     if tensor.nnz == 0:
         return np.zeros(tensor.dim)
 
-    half = tensor._half_operator()
-    if half is not None:
-        starts, rows, values = half
+    if tensor._half_operator() is not None:
         u, v = closed
-        work = (np.column_stack((u, v)) @ np.vstack((v, u))).ravel()
-        # A zero work entry only adds +-0.0 to a row sum that starts at +0.0,
-        # which leaves it unchanged, so only the nonzero columns are applied.
-        # Their entries are taken in ascending column order, the order in
-        # which a row-major product adds each row's terms: bit-identical.
-        cols = np.flatnonzero(work != 0)
-        first = starts[cols]
-        lens = starts[cols + 1] - first
-        # The kept columns' entries, one column's run after another.
-        offsets = np.repeat(first - np.cumsum(lens) + lens, lens)
-        picked = np.arange(offsets.size) + offsets
-        terms = values[picked] * np.repeat(work[cols], lens)
+        stack = np.concatenate((u, v)).reshape(2, tensor.dim)
+        # Outside S x S, for the support S of the two blocks, u (x) v + v (x) u
+        # is exactly zero, and a zero term only adds +-0.0 to a row sum that
+        # starts at +0.0, which leaves it unchanged.  An inf or NaN block
+        # breaks that (inf * 0 is NaN), and so takes the full support; an
+        # overflowing sum only sends finite blocks there too.
+        if math.isfinite(stack.sum()):
+            support = np.logical_or(u, v).nonzero()[0]
+        else:
+            support = np.arange(tensor.dim)
+        # The full product's BLAS kernel on S x S gives the same bits.  Both
+        # operands are contiguous: one with a non-unit stride would take
+        # numpy's own loop instead, which rounds the two products apart.
+        pair = stack.take(support, axis=1)
+        work = pair.T @ pair[::-1].copy()
+        rows, values, which = tensor._support_plan(support)
+        # The plan adds each row's terms in ascending column order, as the
+        # row-major product does: bit-identical to applying every entry.
+        terms = work.ravel().take(which)
+        terms *= values
         # bincount gives int64 zeros when no term is left.
-        pull = np.bincount(rows[picked], weights=terms, minlength=tensor.dim)
+        pull = np.bincount(rows, weights=terms, minlength=tensor.dim)
         return pull.astype(np.float64, copy=False)
 
     # Each column's product of its row's closed-mode vector entries, taken

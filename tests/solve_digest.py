@@ -9,7 +9,7 @@ The first line is the digest of all sections together; then follows one
 ``name digest`` line per section, so a change that deliberately alters
 one section shows every other one unchanged.  It imports the ``adgm``
 package of the checkout it lives in and hashes, section by section
-(models, schedules, random, hungarian, injective, parse, bench):
+(models, schedules, random, hungarian, injective, parse, bench, pulls):
 
 - every ``SolverResult`` field except ``wall_time``, traced, for both
   variants, on models a, b, c and third (seeds 0-2, 6 inliers plus 2
@@ -25,7 +25,11 @@ package of the checkout it lives in and hashes, section by section
 - ``SideMode.parse``, ``Sense.parse`` and ``Variant.parse`` on a fixed
   list of spellings: the member, or the text of the refusal;
 - the ``trials.csv`` and ``summary.csv`` of one ``adgm bench`` sweep,
-  without their time columns.
+  without their time columns;
+- ``partial_contraction`` of a supersymmetric order-3 tensor, through
+  every mode, for blocks on a recurring pool of supports (more than the
+  pull keeps plans for), with +-0.0, subnormal, huge, infinite and NaN
+  entries.
 
 Floats are hashed bit for bit, so a digest depends on the platform and
 its numpy build: compare digests taken on one machine.  Pytest does not
@@ -56,7 +60,7 @@ from adgm.discretize import brute_force_optimum, hungarian  # noqa: E402
 from adgm.harness import generate_synthetic  # noqa: E402
 from adgm.models import MODELS, build_model  # noqa: E402
 from adgm.solver import MatchingInstance, Sense, SolverConfig, Variant, solve  # noqa: E402
-from adgm.tensor import SparseTensor  # noqa: E402
+from adgm.tensor import SparseTensor, partial_contraction, symmetrize  # noqa: E402
 
 ONE_TO_ONE = (SideMode.EXACTLY_ONE, SideMode.AT_MOST_ONE)
 BENCH_CONFIG = """\
@@ -68,6 +72,7 @@ methods = adgm1,adgm2
 seed = 4
 """
 TIME_COLUMNS = {"time_ms", "mean_time_ms"}
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, np.inf, -np.inf, np.nan)
 SCHEDULES = (
     dict(t1=1, t2=1),
     dict(t1=5, t2=2, beta=3.0),
@@ -190,6 +195,28 @@ def feed_bench(digest):
                     feed(digest, [(k, v) for k, v in row.items() if k not in TIME_COLUMNS])
 
 
+def feed_pulls(digest):
+    rng = np.random.default_rng(1703)
+    dim, nnz = 40, 6000
+    indices = rng.integers(0, dim, size=(nnz, 3))
+    tensor = symmetrize(SparseTensor(3, dim, indices, rng.normal(0.0, 1.0, nnz)))
+    sizes = (0, 1, 2, 3, 5, 8, 8, 12, 13, 21, 30, dim)
+    pool = [np.sort(rng.choice(dim, size=k, replace=False)) for k in sizes]
+    for k in rng.integers(0, len(pool), size=300):
+        support = pool[k]
+        scale = rng.choice([1.0, 1e-310, 1e300])
+        blocks = []
+        for _ in range(2):
+            block = np.full(dim, rng.choice([0.0, -0.0]))
+            block[support] = rng.normal(0.0, scale, support.size)
+            special = support[rng.random(support.size) < 0.1]
+            block[special] = rng.choice(SPECIAL_FLOATS, size=special.size)
+            blocks.append(block)
+        mode = int(rng.integers(1, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            feed(digest, partial_contraction(tensor, mode, blocks[: mode - 1], blocks[mode - 1 :]))
+
+
 SECTIONS = (
     ("models", feed_models),
     ("schedules", feed_schedules),
@@ -198,6 +225,7 @@ SECTIONS = (
     ("injective", feed_injective),
     ("parse", feed_parse),
     ("bench", feed_bench),
+    ("pulls", feed_pulls),
 )
 
 

@@ -24,6 +24,7 @@ PINNED = {
     "injective": "e3d770f9ec6f4cd333e455baec62e22b",
     "parse": "70cba5cb76dd6ea3cf02defeb09c1d3e",
     "bench": "8b4e7a6c6dc820d9e4ee1fdeea84441f",
+    "pulls": "87308a6199686acef29fd63ab57fb5a8",
 }
 
 

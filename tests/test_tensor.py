@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import numpy as np
@@ -130,6 +131,17 @@ def test_construction_errors(kwargs):
         SparseTensor(**kwargs)
 
 
+@pytest.mark.parametrize("bad", [1.7, -0.5, 2.0**70, np.inf, np.nan])
+def test_non_integral_indices_are_refused_by_name(bad):
+    with pytest.raises(ValueError, match=re.escape(f"integers, got {bad} in entry 1")):
+        SparseTensor(2, 3, [[0.0, 1.0], [2.0, bad]], [1.0, 2.0])
+
+
+def test_integral_float_indices_are_taken_as_ints():
+    t = SparseTensor(2, 3, np.array([[2.0, 0.0], [1.0, -0.0]]), [1.0, 2.0])
+    _assert_same_arrays(t, *oracles.rowwise_canonicalize(2, [[2, 0], [1, 0]], [1.0, 2.0]))
+
+
 # -- multilinear form ----------------------------------------------------
 
 
@@ -227,6 +239,19 @@ def test_mode_product_validates_mode():
         mode_product(t, 0, np.ones(3))
     with pytest.raises(ValueError):
         mode_product(t, 3, np.ones(3))
+
+
+@pytest.mark.parametrize("mode", [1.5, 2.0, "2", None])
+def test_non_integer_modes_are_refused_by_name(mode):
+    t = symmetrize(SparseTensor.from_entries(3, 3, {(0, 1, 2): 1.0}))
+    u = np.ones(3)
+    with pytest.raises(ValueError, match=re.escape(f"mode must be an integer, got {mode!r}")):
+        mode_product(t, mode, u)
+    with pytest.raises(ValueError, match=re.escape(f"open_mode must be an integer, got {mode!r}")):
+        partial_contraction(t, mode, [], [u, u])
+    assert np.array_equal(
+        partial_contraction(t, np.int64(2), [u], [u]), partial_contraction(t, 2, [u], [u])
+    )
 
 
 # -- partial contraction --------------------------------------------------
@@ -445,6 +470,77 @@ def test_half_operator_pull_of_a_zero_block_is_positive_zero(dim):
                 assert got.tobytes() == np.zeros(dim).tobytes()
                 expected = oracles.half_operator_partial_contraction(t, left, right)
                 assert got.tobytes() == expected.tobytes()
+
+
+# -- per-support plans of the half operator's pull ------------------------
+
+
+def _pull_every_mode(t, u, v):
+    """Pull ``t`` with the blocks ``u, v`` through each open mode; every pull
+    must equal the whole row-major product bit for bit, and the plan cache
+    must stay within its bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = oracles.half_operator_partial_contraction(t, [u], [v]).tobytes()
+        for open_mode in (1, 2, 3):
+            left, right = [u, v][: open_mode - 1], [u, v][open_mode - 1 :]
+            assert partial_contraction(t, open_mode, left, right).tobytes() == expected
+    assert len(t._contract_cache["plans"]) <= tensor_module._PLANS
+
+
+def _blocks_on(rng, dim, support, scale=1.0):
+    """Two blocks, +-0.0 outside ``support``, whose own supports are random
+    parts of it that together cover it."""
+    u, v = (rng.choice([0.0, -0.0], size=dim) for _ in range(2))
+    owner = rng.integers(0, 3, size=support.size)  # u only, v only, or both
+    in_u, in_v = support[owner != 1], support[owner != 0]
+    u[in_u] = rng.normal(0.0, scale, in_u.size)
+    v[in_v] = rng.normal(0.0, scale, in_v.size)
+    return u, v
+
+
+@pytest.mark.parametrize("dim, nnz", [(6, 216), (24, 24**3), (150, 30000)])
+def test_support_plan_pulls_are_bit_equal_to_the_row_major_product(dim, nnz):
+    rng = np.random.default_rng(60 + dim)
+    t = symmetrize(random_sparse_tensor(rng, 3, dim, nnz=nnz))
+    assert t._half_operator() is not None
+    sizes = [0, 1, 1, 2, 2, 3, 3, dim] + list(rng.integers(1, dim + 1, size=12))
+    for size in sizes:
+        support = np.sort(rng.choice(dim, size=size, replace=False))
+        scale = rng.choice([1.0, 1e-160, 1e150])
+        _pull_every_mode(t, *_blocks_on(rng, dim, support, scale))
+
+
+def test_support_plans_interleave_hits_misses_and_evictions():
+    rng = np.random.default_rng(70)
+    dim = 30
+    t = symmetrize(random_sparse_tensor(rng, 3, dim, nnz=dim**3))
+    pool = [np.sort(rng.choice(dim, size=int(k), replace=False)) for k in rng.integers(1, 9, 12)]
+    # Recurring, alternating, then cycling through more supports than the
+    # cache holds, so that evicted supports come back as misses.
+    order = [0, 0, 0, 1, 0, 1, 0, 1] + list(range(12)) + [0, 11, 3, 3, 10, 2, 0, 7]
+    order += list(rng.integers(0, 12, size=24))
+    for k in order:
+        _pull_every_mode(t, *_blocks_on(rng, dim, pool[k]))
+    assert len(t._contract_cache["plans"]) == tensor_module._PLANS
+
+
+@pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan, "overflow"])
+def test_non_finite_blocks_take_the_full_support(special):
+    rng = np.random.default_rng(80)
+    dim = 20
+    t = symmetrize(random_sparse_tensor(rng, 3, dim, nnz=dim**3))
+    # A cached plan first, so that a wrongly cached full support would show.
+    _pull_every_mode(t, *_blocks_on(rng, dim, np.array([1, 4, 9])))
+    cached = list(t._contract_cache["plans"])
+    for _ in range(10):
+        support = np.sort(rng.choice(dim, size=int(rng.integers(1, 6)), replace=False))
+        u, v = _blocks_on(rng, dim, support)
+        if special == "overflow":
+            u[support] = v[support] = 1e308  # finite blocks whose sum overflows
+        else:
+            u[support[0]] = special
+        _pull_every_mode(t, u, v)
+        assert list(t._contract_cache["plans"]) == cached
 
 
 def _off_symmetry(rng, dim, kind):
