@@ -21,7 +21,7 @@ import numpy as np
 from .constraints import assignment_index
 from .discretize import brute_force_optimum
 from .errors import OracleRefusalError
-from .io import _data_lines, _fmt
+from .io import _fmt, _read_data_lines
 from .models import MODELS, build_model, model_parameters
 from .solver import SolverConfig, Variant, energy, solve
 
@@ -413,7 +413,7 @@ _CONFIG_KEYS = _EXPERIMENT_KEYS.keys() | _TRANSFORM_KEYS.keys() | _SOLVER_KEYS.k
 def read_experiment_config(path):
     """Parse a key = value experiment file into an ExperimentConfig."""
     entries = {}
-    for line in _data_lines(Path(path).read_text()):
+    for line in _read_data_lines(path):
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}: expected 'key = value', got {line!r}")

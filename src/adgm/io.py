@@ -3,13 +3,15 @@ solutions, and solver traces.
 
 All formats are line-oriented UTF-8 text with ``#`` comments and blank
 lines ignored.  Floats are written with ``repr`` so reads round-trip
-bit-exactly.  See the README for worked examples of every format.
+bit-exactly.  Tensors and instances are written and read in bounded chunks,
+so neither holds a whole file as text.  See the README for worked examples
+of every format.
 """
 
 from __future__ import annotations
 
 import csv
-from pathlib import Path
+import itertools
 
 import numpy as np
 
@@ -18,24 +20,63 @@ from .solver import MatchingInstance, Sense
 from .tensor import SparseTensor
 
 
-def _data_lines(text):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
+# Rows formatted at a time when a table is written, and characters read at
+# a time (then completed to the end of their line) when a file is read, so
+# that neither holds a whole file as text.
+_CHUNK_ROWS = 4096
+_CHUNK_CHARS = 1 << 16
+
+
+def _data_lines(handle):
+    """The data lines of the open text file ``handle``: each line cut at its
+    first ``#`` and stripped, blank lines dropped.
+
+    The file is read in blocks of whole lines.  A line ends wherever
+    ``str.splitlines`` ends one (at ``\\f`` or ``\\u2028`` too, not only at
+    ``\\n``), as when a whole file was split at once.
+    """
+
+    # Lists chained in C: a generator that yields line by line costs about
+    # a tenth more per read.
+    def blocks():
+        while block := handle.read(_CHUNK_CHARS):
+            block += handle.readline()
+            yield [line for raw in block.splitlines() if (line := raw.split("#", 1)[0].strip())]
+
+    return itertools.chain.from_iterable(blocks())
+
+
+def _read_data_lines(path):
+    """The data lines of the UTF-8 text file ``path``, as a list."""
+    with open(path, encoding="utf-8") as handle:
+        return list(_data_lines(handle))
+
+
+def _write_text(path, chunks):
+    """Write the lists of lines ``chunks`` to ``path`` as UTF-8, one after
+    another, each line ended by a newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for lines in chunks:
+            if lines:
+                handle.write("\n".join(lines))
+                handle.write("\n")
 
 
 def _fmt(value):
     return repr(float(value))
 
 
-def _format_rows(fmt, columns):
-    """One ``fmt % row`` line per row of the equal-length array ``columns``.
-
-    Columns become Python ints and floats first, so ``%d`` and ``%r`` write
-    exactly what ``str`` and ``repr`` would.
-    """
-    return [fmt % row for row in zip(*(c.tolist() for c in columns))]
+def _row_chunks(columns):
+    """Lines of the equal-length 1-D arrays ``columns``, one per row, in
+    lists of at most ``_CHUNK_ROWS``: float fields written with ``repr``,
+    integer fields with ``str``, joined by single spaces."""
+    rows = len(columns[0]) if columns else 0
+    for start in range(0, rows, _CHUNK_ROWS):
+        fields = [
+            list(map(repr if c.dtype.kind == "f" else str, c[start : start + _CHUNK_ROWS].tolist()))
+            for c in columns
+        ]
+        yield list(map(" ".join, zip(*fields)))
 
 
 def _ints(path, line, count, need, parts=None):
@@ -61,16 +102,18 @@ def _named(path, build, *args):
 
 
 def _parse_rows(lines, dtype):
-    """Parse whitespace-separated data lines (no comments, no blank lines)
-    into a 1-D structured array of ``dtype``.
+    """Parse whitespace-separated data lines (no comments, no blank lines),
+    from any iterable, into a 1-D structured array of ``dtype``.
 
     Ragged rows, extra columns and non-integer text in an integer field
     raise ValueError.  No lines give an empty array; they never reach
     ``np.loadtxt``, which warns on empty input.
     """
-    if not lines:
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
         return np.empty(0, dtype=dtype)
-    return np.loadtxt(lines, dtype=dtype, ndmin=1)
+    return np.loadtxt(itertools.chain([first], lines), dtype=dtype, ndmin=1)
 
 
 # -- point sets -------------------------------------------------------
@@ -79,12 +122,12 @@ def _parse_rows(lines, dtype):
 def write_points(path, points):
     """Point-set file: header line ``n``, then one ``x y`` line per point."""
     points = np.asarray(points, dtype=np.float64)
-    lines = [str(points.shape[0])] + _format_rows("%r %r", points.T)
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = [str(points.shape[0])]
+    _write_text(path, itertools.chain([head], _row_chunks(list(points.T))))
 
 
 def read_points(path):
-    lines = list(_data_lines(Path(path).read_text()))
+    lines = _read_data_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty point file")
     (count,) = _ints(path, lines[0], 1, "the header needs one point count")
@@ -102,14 +145,13 @@ def read_points(path):
 
 def write_edges(path, edges):
     """Edge-list file: one ``i j`` line per unordered edge."""
-    lines = [f"{int(i)} {int(j)}" for i, j in edges]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_text(path, [[f"{int(i)} {int(j)}" for i, j in edges]])
 
 
 def read_edges(path):
     return [
         tuple(_ints(path, line, 2, "edge lines need two indices"))
-        for line in _data_lines(Path(path).read_text())
+        for line in _read_data_lines(path)
     ]
 
 
@@ -119,13 +161,12 @@ def read_edges(path):
 def write_unary(path, matrix):
     """Unary matrix file: header ``n1 n2``, then one row per line."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    lines = [f"{matrix.shape[0]} {matrix.shape[1]}"]
-    lines += _format_rows(" ".join(["%r"] * matrix.shape[1]), matrix.T)
-    Path(path).write_text("\n".join(lines) + "\n")
+    head = [f"{matrix.shape[0]} {matrix.shape[1]}"]
+    _write_text(path, itertools.chain([head], _row_chunks(list(matrix.T))))
 
 
 def read_unary(path):
-    lines = list(_data_lines(Path(path).read_text()))
+    lines = _read_data_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty unary file")
     n1, n2 = _ints(path, lines[0], 2, "the header needs two sizes 'n1 n2'")
@@ -141,30 +182,37 @@ def read_unary(path):
 # -- tensors ----------------------------------------------------------
 
 
+def _tensor_chunks(tensor):
+    """The lines of tensor_to_lines, in lists of at most ``_CHUNK_ROWS``."""
+    yield [f"order {tensor.order} dim {tensor.dim}"]
+    for lines in _row_chunks([*tensor.indices.T, tensor.values]):
+        # An order-0 entry keeps the space that follows the indices it lacks.
+        yield [" " + line for line in lines] if tensor.order == 0 else lines
+
+
 def tensor_to_lines(tensor):
     """Tensor section: header ``order D dim n`` then ``i_1 ... i_D value``
     per entry (0-based indices, canonical order)."""
-    fmt = " ".join(["%d"] * tensor.order) + " %r"
-    columns = list(tensor.indices.T) + [tensor.values]
-    return [f"order {tensor.order} dim {tensor.dim}"] + _format_rows(fmt, columns)
+    return list(itertools.chain.from_iterable(_tensor_chunks(tensor)))
 
 
 def tensor_from_lines(lines, path="tensor section"):
-    """Inverse of tensor_to_lines; ``lines`` hold no comments or blank
-    lines.  Errors name ``path``, the file the lines came from."""
-    lines = list(lines)
-    if not lines:
+    """Inverse of tensor_to_lines; ``lines``, any iterable, hold no comments
+    or blank lines.  Errors name ``path``, the file the lines came from."""
+    lines = iter(lines)
+    header = next(lines, None)
+    if header is None:
         raise ValueError(f"{path}: empty tensor section")
-    head = lines[0].split()
+    head = header.split()
     keyed = len(head) == 4 and head[0] == "order" and head[2] == "dim"
     order, dim = _ints(
-        path, lines[0], 2, "bad tensor header, need 'order D dim n'", head[1::2] if keyed else []
+        path, header, 2, "bad tensor header, need 'order D dim n'", head[1::2] if keyed else []
     )
     if order < 0:
         # Refused here, as SparseTensor would: no entry dtype has -1 indices.
         raise ValueError(f"{path}: order must be >= 0, got {order}")
     try:
-        rows = _parse_rows(lines[1:], [("idx", np.int64, (order,)), ("val", np.float64)])
+        rows = _parse_rows(lines, [("idx", np.int64, (order,)), ("val", np.float64)])
     except ValueError as exc:
         raise ValueError(
             f"{path}: tensor entry needs {order} indices and a value ({exc})"
@@ -173,11 +221,12 @@ def tensor_from_lines(lines, path="tensor section"):
 
 
 def write_tensor(path, tensor):
-    Path(path).write_text("\n".join(tensor_to_lines(tensor)) + "\n")
+    _write_text(path, _tensor_chunks(tensor))
 
 
 def read_tensor(path):
-    return tensor_from_lines(_data_lines(Path(path).read_text()), path)
+    with open(path, encoding="utf-8") as handle:
+        return tensor_from_lines(_data_lines(handle), path)
 
 
 # -- ground truth -----------------------------------------------------
@@ -218,13 +267,12 @@ def row_targets_to_truth(targets, n1, n2):
 def write_truth(path, truth, n1, n2):
     """Truth file: one ``i j`` line per matched pair."""
     targets = truth_to_row_targets(truth, n1, n2)
-    lines = [f"{i} {int(j)}" for i, j in enumerate(targets) if j >= 0]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_text(path, [[f"{i} {int(j)}" for i, j in enumerate(targets) if j >= 0]])
 
 
 def read_truth(path, n1, n2):
     targets = np.full(n1, -1, dtype=np.int64)
-    for line in _data_lines(Path(path).read_text()):
+    for line in _read_data_lines(path):
         i, j = _ints(path, line, 2, "truth lines need two indices 'i j'")
         if not (0 <= i < n1 and 0 <= j < n2):
             raise ValueError(f"{path}: pair ({i}, {j}) out of range")
@@ -244,7 +292,7 @@ def write_instance(path, instance):
     """Self-describing instance container: sizes, side modes, sense, an
     optional truth line (per-row target index, -1 = unmatched), then one
     ``tensor`` section per potential order."""
-    lines = [
+    head = [
         _MAGIC,
         f"n1 {instance.n1}",
         f"n2 {instance.n2}",
@@ -254,21 +302,33 @@ def write_instance(path, instance):
     ]
     if instance.ground_truth is not None:
         targets = truth_to_row_targets(instance.ground_truth, instance.n1, instance.n2)
-        lines.append("truth " + " ".join(str(int(j)) for j in targets))
-    for tensor in instance.potentials:
-        lines.append("tensor")
-        lines.extend(tensor_to_lines(tensor))
-    Path(path).write_text("\n".join(lines) + "\n")
+        head.append("truth " + " ".join(str(int(j)) for j in targets))
+
+    def chunks():
+        yield head
+        for tensor in instance.potentials:
+            yield ["tensor"]
+            yield from _tensor_chunks(tensor)
+
+    _write_text(path, chunks())
 
 
 def read_instance(path):
-    lines = list(_data_lines(Path(path).read_text()))
-    if not lines or lines[0] != _MAGIC:
+    with open(path, encoding="utf-8") as handle:
+        return _instance_from_lines(_data_lines(handle), path)
+
+
+def _instance_from_lines(lines, path):
+    """The instance that the data lines ``lines`` of the file ``path`` hold,
+    read section by section as they come."""
+    # Each "tensor" line opens a section.  One more closes the last, so that
+    # every section ends at a "tensor" line.
+    lines = itertools.chain(lines, ["tensor"])
+    header = list(itertools.takewhile("tensor".__ne__, lines))
+    if not header or header[0] != _MAGIC:
         raise ValueError(f"{path}: not an instance file (missing {_MAGIC!r} header)")
-    bounds = [pos for pos, line in enumerate(lines) if line == "tensor"]
-    bounds.append(len(lines))
     fields = {}  # field -> (its line, the text after the field name)
-    for line in lines[1 : bounds[0]]:
+    for line in header[1:]:
         key, _, rest = line.partition(" ")
         if key not in _FIELDS:
             raise ValueError(f"{path}: unknown instance field {key!r}")
@@ -295,8 +355,13 @@ def read_instance(path):
     sense = _named(path, Sense.parse, fields["sense"][1])
     n = n1 * n2
     by_order = {}
-    for start, end in zip(bounds, bounds[1:]):
-        tensor = tensor_from_lines(lines[start + 1 : end], path)
+    while (first := next(lines, None)) is not None:
+        # tensor_from_lines reads its section up to the "tensor" line that
+        # closes it.  A section with no lines is refused as empty.
+        section = [] if first == "tensor" else itertools.chain(
+            [first], itertools.takewhile("tensor".__ne__, lines)
+        )
+        tensor = tensor_from_lines(section, path)
         if tensor.order < 1:
             raise ValueError(f"{path}: a potential tensor needs order >= 1, got {tensor.order}")
         if tensor.dim != n:
@@ -322,12 +387,12 @@ def write_solution(path, assignment, n1, n2, metadata=None):
         lines.append(f"# {key} {value}")
     targets = truth_to_row_targets(assignment, n1, n2)
     lines += [f"{i} {int(j)}" for i, j in enumerate(targets) if j >= 0]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_text(path, [lines])
 
 
 def write_trace(path, rows):
     """Solver trace CSV: iteration, residual, rho, energy."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["iteration", "residual", "rho", "energy"])
         for iteration, res, rho, energy_value in rows:

@@ -50,8 +50,8 @@ class SparseTensor:
     __slots__ = ("order", "dim", "indices", "values", "_contract_cache")
 
     def __init__(self, order, dim, indices=None, values=None):
-        order = int(order)
-        dim = int(dim)
+        order = _checked_int("order", order)
+        dim = _checked_int("dim", dim)
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
         if dim < 0:
@@ -234,7 +234,13 @@ class SparseTensor:
 
 
 def _canonicalize(order, dim, indices, values):
-    """Sort lexicographically, merge duplicate indices, drop exact zeros."""
+    """Sort lexicographically, merge duplicate indices, drop exact zeros.
+
+    Rows already sorted and distinct, as in every tensor file this package
+    writes, skip the sort.  They give the same bits: a row's merged value is
+    ``0.0 + v``, which is ``v``, or ``+0.0`` and dropped when ``v`` is
+    ``-0.0``.
+    """
     if indices.shape[0] == 0:
         return indices.copy(), values.copy()
     if order == 0:
@@ -242,13 +248,17 @@ def _canonicalize(order, dim, indices, values):
         if total == 0.0:
             return np.empty((0, 0), dtype=np.int64), np.empty(0, dtype=np.float64)
         return np.empty((1, 0), dtype=np.int64), np.array([total])
-    rows, inverse = _unique_rows(order, dim, indices)
+    key = _row_keys(order, dim, indices)
+    if key is not None and np.all(key[1:] > key[:-1]):
+        keep = values != 0.0
+        return indices[keep], values[keep]
+    rows, inverse = _unique_rows(order, dim, indices, key)
     merged = np.bincount(inverse, weights=values, minlength=rows.shape[0])
     keep = merged != 0.0
     return rows[keep], merged[keep]
 
 
-def _unique_rows(order, dim, indices):
+def _unique_rows(order, dim, indices, key=None):
     """Distinct index rows in lexicographic order, and the position of each
     input row among them.
 
@@ -256,8 +266,10 @@ def _unique_rows(order, dim, indices):
     ``(i_1 * dim + i_2) * dim + ... + i_D``, whose numeric order is the
     lexicographic row order, so one 1-D sort does the work.  Only when
     ``dim**order`` does not fit in int64 are the rows sorted as rows.
+    ``key`` is the rows' ``_row_keys``, when the caller has it already.
     """
-    key = _row_keys(order, dim, indices)
+    if key is None:
+        key = _row_keys(order, dim, indices)
     if key is None:
         rows, inverse = np.unique(indices, axis=0, return_inverse=True)
         return rows, inverse.ravel()
@@ -326,12 +338,17 @@ def multilinear_form(tensor, vectors):
     return float(factor.sum())
 
 
+def _checked_int(name, value):
+    """``value`` as an int; a ValueError names it when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _checked_mode(name, mode, order):
     """``mode`` as an int in ``[1, order]``; a ValueError names it otherwise."""
-    try:
-        mode = operator.index(mode)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {mode!r}") from None
+    mode = _checked_int(name, mode)
     if not 1 <= mode <= order:
         raise ValueError(f"{name} must be in [1, {order}], got {mode}")
     return mode

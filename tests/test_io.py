@@ -1,13 +1,19 @@
 """Round-trip and error-path tests for the text file formats."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
 
+import adgm
 from adgm import io as io_module
 from adgm.constraints import ConstraintSpec, SideMode
 from adgm.io import (
@@ -257,6 +263,184 @@ def _assert_same_tensor(actual, expected, indices=None, values=None):
     assert actual.indices.tobytes() == indices.tobytes()
     assert actual.values.dtype == values.dtype == np.float64
     assert actual.values.tobytes() == values.tobytes()
+
+
+# Rows per chunk when tables are written, and the entry counts around it.
+_C = io_module._CHUNK_ROWS
+_CHUNK_COUNTS = [0, 1, _C - 1, _C, _C + 1, 2 * _C + 1]
+# An order-0 tensor holds at most one entry; other orders get dims with room
+# for every count above.
+_ORDER_COUNTS = [(0, 0), (0, 1)] + [(k, nnz) for k in (1, 2, 3) for nnz in _CHUNK_COUNTS]
+_DIMS = {0: 1, 1: 3 * _C, 2: 200, 3: 30}
+
+
+def _distinct_tensor(rng, order, dim, nnz):
+    """``nnz`` distinct entries with values of every magnitude."""
+    keys = rng.choice(dim**order, size=nnz, replace=False)
+    indices = np.empty((nnz, 0), dtype=np.int64)
+    if order:
+        indices = np.stack(np.unravel_index(keys, (dim,) * order), axis=1)
+    values = rng.normal(size=nnz) * 10.0 ** rng.integers(-300, 300, size=nnz)
+    return SparseTensor(order, dim, indices, values)
+
+
+def _with_separators(rng, lines, separators):
+    """``lines`` joined into one text, each line ended by a separator drawn
+    from ``separators``."""
+    return "".join(line + separators[rng.integers(len(separators))] for line in lines)
+
+
+# Line ends that str.splitlines honours, and comment and blank-line noise.
+_SEPARATORS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "\n\n# comment\n", "  # note\n", "\x0c# comment \u2028 \t\n",
+]
+
+
+class TestStreamedText:
+    @pytest.mark.parametrize("order, nnz", _ORDER_COUNTS)
+    def test_tensor_text_matches_linewise_reference_across_chunks(self, tmp_path, order, nnz):
+        tensor = _distinct_tensor(np.random.default_rng(nnz + order), order, _DIMS[order], nnz)
+        expected = oracles.linewise_tensor_lines(tensor)
+        assert tensor_to_lines(tensor) == expected
+        path = tmp_path / "tensor.txt"
+        write_tensor(path, tensor)
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        _assert_same_tensor(read_tensor(path), tensor)
+
+    @pytest.mark.parametrize("nnz", _CHUNK_COUNTS)
+    def test_instance_file_matches_linewise_reference_across_chunks(self, tmp_path, nnz):
+        rng = np.random.default_rng(nnz)
+        n1, n2 = 91, 92  # n = 8372 > 2C + 1
+        n = n1 * n2
+        potentials = tuple(_distinct_tensor(rng, k, n, nnz) for k in (1, 2, 3))
+        spec = ConstraintSpec(n1, n2, SideMode.EXACTLY_ONE, SideMode.AT_MOST_ONE)
+        targets = rng.permutation(n2)[:n1]
+        truth = row_targets_to_truth(targets, n1, n2)
+        instance = MatchingInstance(n1, n2, potentials, spec, Sense.MAXIMIZE, truth)
+        expected = [
+            "matching-instance", f"n1 {n1}", f"n2 {n2}", "rows exactly-one",
+            "cols at-most-one", "sense maximize", "truth " + " ".join(map(str, targets)),
+        ]
+        for tensor in potentials:
+            expected += ["tensor"] + oracles.linewise_tensor_lines(tensor)
+        path = tmp_path / "instance.txt"
+        write_instance(path, instance)
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        loaded = read_instance(path)
+        for actual, tensor in zip(loaded.potentials, potentials, strict=True):
+            _assert_same_tensor(actual, tensor)
+        assert loaded.ground_truth.tobytes() == truth.tobytes()
+
+    @pytest.mark.parametrize("chars", [1, 7, None], ids=["1-char", "7-chars", "default"])
+    def test_tensor_lines_split_as_str_splitlines_does(self, tmp_path, monkeypatch, chars):
+        if chars is not None:
+            monkeypatch.setattr(io_module, "_CHUNK_CHARS", chars)
+        rng = np.random.default_rng(21)
+        # About 3.5 default read blocks of text, so sections cross block ends.
+        tensor = _distinct_tensor(rng, 2, 200, 400 if chars else 9000)
+        lines = tensor_to_lines(tensor)
+        lines[0] += "  # header"
+        text = _with_separators(rng, lines, _SEPARATORS)
+        path = tmp_path / "tensor.txt"
+        path.write_bytes(text.encode())
+        assert chars or len(text) > 3 * io_module._CHUNK_CHARS
+        order, dim, indices, values = oracles.linewise_read_tensor(text)
+        assert (order, dim) == (2, 200)
+        _assert_same_tensor(read_tensor(path), tensor, indices, values)
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x0b", "\x1e", "\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("chars", [1, None], ids=["1-char", "default"])
+    def test_a_line_end_inside_an_entry_is_refused_as_before(
+        self, tmp_path, monkeypatch, separator, chars
+    ):
+        if chars is not None:
+            monkeypatch.setattr(io_module, "_CHUNK_CHARS", chars)
+        path = tmp_path / "tensor.txt"
+        # Accepted: two entries on one physical line.
+        text = f"order 2 dim 4\n0 1 0.5{separator}1 2 0.25\n"
+        path.write_bytes(text.encode())
+        _, _, indices, values = oracles.linewise_read_tensor(text)
+        _assert_same_tensor(read_tensor(path), SparseTensor(2, 4), indices, values)
+        # Refused: one entry cut in two.
+        text = f"order 2 dim 4\n0 1{separator}0.5\n"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match="entry needs 2 indices"):
+            oracles.linewise_read_tensor(text)
+        with pytest.raises(ValueError, match="tensor entry needs 2 indices and a value"):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("chars", [1, 7, None], ids=["1-char", "7-chars", "default"])
+    def test_instance_lines_split_as_str_splitlines_does(self, tmp_path, monkeypatch, chars):
+        if chars is not None:
+            monkeypatch.setattr(io_module, "_CHUNK_CHARS", chars)
+        rng = np.random.default_rng(22)
+        instance = _sample_instance()
+        path = tmp_path / "instance.txt"
+        write_instance(path, instance)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [line + "  # note" if line == "tensor" else line for line in lines]
+        path.write_bytes(_with_separators(rng, lines, _SEPARATORS).encode())
+        loaded = read_instance(path)
+        assert loaded.potentials == instance.potentials
+        assert loaded.ground_truth.tobytes() == instance.ground_truth.tobytes()
+        lines[lines.index("0 3 0.25")] = "0\u20283 0.25"
+        path.write_bytes(_with_separators(rng, lines, _SEPARATORS).encode())
+        with pytest.raises(ValueError, match="tensor entry needs 2 indices and a value"):
+            read_instance(path)
+
+    def test_instance_io_memory_stays_below_the_data_it_moves(self, tmp_path):
+        n1 = n2 = 22
+        n = n1 * n2
+        pair = _distinct_tensor(np.random.default_rng(23), 2, n, 150_000)
+        spec = ConstraintSpec(n1, n2, SideMode.EXACTLY_ONE, SideMode.EXACTLY_ONE)
+        instance = MatchingInstance(
+            n1, n2, (SparseTensor.empty(1, n), pair), spec, Sense.MINIMIZE
+        )
+        path = tmp_path / "instance.txt"
+        tracemalloc.start()
+        try:
+            write_instance(path, instance)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            tracemalloc.start()
+            loaded = read_instance(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.potentials == instance.potentials
+        array_bytes = pair.indices.nbytes + pair.values.nbytes
+        assert write_peak < path.stat().st_size
+        assert read_peak < 3 * array_bytes
+
+
+def test_text_is_utf8_whatever_the_locale(tmp_path):
+    (tmp_path / "tensor.txt").write_bytes("# café\norder 1 dim 3\n0 1.5  # naïve\n".encode())
+    (tmp_path / "points.txt").write_bytes("# café\n1\n0.5 0.25\n".encode())
+    (tmp_path / "config.txt").write_bytes(
+        "# café\nmodel = a\nvalues = 0, 1\n".encode()
+    )
+    code = (
+        "import sys\n"
+        "from adgm.harness import read_experiment_config\n"
+        "from adgm.io import read_points, read_tensor, write_solution\n"
+        "d = sys.argv[1]\n"
+        "read_experiment_config(d + '/config.txt')\n"
+        "assert read_tensor(d + '/tensor.txt').values.tolist() == [1.5]\n"
+        "assert read_points(d + '/points.txt').tolist() == [[0.5, 0.25]]\n"
+        # An ASCII command line: the C locale cannot decode a non-ASCII one.
+        "write_solution(d + '/solution.txt', [1.0], 1, 1, {'note': 'caf\\u00e9'})\n"
+    )
+    src = str(Path(adgm.__file__).resolve().parents[1])
+    env = dict(
+        os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
+    subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert (tmp_path / "solution.txt").read_bytes() == "# note café\n0 0\n".encode()
 
 
 class TestTruth:

@@ -142,6 +142,69 @@ def test_integral_float_indices_are_taken_as_ints():
     _assert_same_arrays(t, *oracles.rowwise_canonicalize(2, [[2, 0], [1, 0]], [1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [2.7, 2.0, np.float64(3.0), "2", None])
+def test_non_integer_order_and_dim_are_refused_by_name(bad):
+    with pytest.raises(ValueError, match=re.escape(f"order must be an integer, got {bad!r}")):
+        SparseTensor(bad, 3, [[0, 1]], [1.0])
+    with pytest.raises(ValueError, match=re.escape(f"dim must be an integer, got {bad!r}")):
+        SparseTensor(2, bad, [[0, 1]], [1.0])
+    t = SparseTensor(np.int64(2), np.int64(3), [[0, 1]], [1.0])
+    assert (type(t.order), type(t.dim)) == (int, int)
+    assert (t.order, t.dim) == (2, 3)
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["no-zeros", "zeros"])
+def test_canonical_input_skips_the_sort_bit_for_bit(monkeypatch, zeros):
+    rng = np.random.default_rng(8)
+    dim = 9
+    keys = np.sort(rng.choice(dim**3, size=200, replace=False))
+    indices = np.stack(np.unravel_index(keys, (dim,) * 3), axis=1).astype(np.int64)
+    values = rng.normal(size=200)
+    values[9], values[10] = 5e-324, -5e-324
+    if zeros:
+        values[[3, 50]] = 0.0
+        values[[7, 120]] = -0.0
+    before = indices.copy(), values.copy()
+    expected = oracles.rowwise_canonicalize(3, indices, values)
+    # Reversed rows are not canonical, so they take the sort.
+    sorted_path = SparseTensor(3, dim, indices[::-1], values[::-1])
+
+    def no_sort(*args):
+        raise AssertionError("canonical input was sorted")
+
+    monkeypatch.setattr(tensor_module, "_unique_rows", no_sort)
+    tensor = SparseTensor(3, dim, indices, values)
+    monkeypatch.undo()
+    _assert_same_arrays(tensor, *expected)
+    _assert_same_arrays(sorted_path, *expected)
+    assert tensor.nnz == (196 if zeros else 200)
+    assert not np.any(tensor.values == 0.0)
+    # The caller's arrays are untouched and stay writeable.
+    assert indices.tobytes() == before[0].tobytes()
+    assert values.tobytes() == before[1].tobytes()
+    assert indices.flags.writeable and values.flags.writeable
+    assert not np.shares_memory(tensor.indices, indices)
+    assert not np.shares_memory(tensor.values, values)
+
+
+@pytest.mark.parametrize(
+    "indices", [[[3, 1], [0, 2], [3, 1]], [[0, 1], [0, 1], [3, 1]]], ids=["unsorted", "repeated"]
+)
+def test_input_that_needs_the_sort_keys_its_rows_once(monkeypatch, indices):
+    calls = []
+    row_keys = tensor_module._row_keys
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return row_keys(*args, **kwargs)
+
+    monkeypatch.setattr(tensor_module, "_row_keys", spy)
+    t = SparseTensor(2, 5, indices, [1.0, 2.0, 3.0])
+    assert len(calls) == 1
+    monkeypatch.undo()
+    _assert_same_arrays(t, *oracles.rowwise_canonicalize(2, indices, [1.0, 2.0, 3.0]))
+
+
 # -- multilinear form ----------------------------------------------------
 
 
