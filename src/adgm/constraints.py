@@ -19,8 +19,11 @@ import numpy as np
 # Tolerance used by feasibility checks.
 FEASIBILITY_TOL = 1e-9
 
-# Every double below this in magnitude differs from itself minus 1.
-_EXACT_LIMIT = 2.0**53
+# Rows whose largest entry reaches this in magnitude are projected again
+# after subtracting it: beyond it, the partial sums of large, close entries
+# round by more than the sum's tolerance.  The rows a solve projects on the
+# shipped models stay below it.
+_EXACT_LIMIT = 2.0**12
 
 # The arrays of _ranks, by row count and row length.
 _RANKS = {}
@@ -145,11 +148,13 @@ def _project_rows(rows, exact):
 def _project_rows_equality(rows):
     """Row-wise projection onto {x >= 0, sum(x) = 1} by sort and threshold.
 
-    Where a row's largest entry is 2**53 or more in magnitude, the 1 taken
-    off its partial sums is lost to rounding: the threshold finds no
-    support, or one a unit off (``[1.26e16, 2.7e15, 8.7e15]`` gave
-    ``[2, 0, 0]``).  Such rows are projected again after subtracting their
-    maximum, which does not move the projection."""
+    Where a row's largest entry is large in magnitude, its partial sums
+    round before the 1 is taken off them: ``[1e15 + 0.125, 1e15]`` summed
+    to 1.125, and from 2**53 on the 1 is lost altogether, so the threshold
+    finds no support, or one a unit off (``[1.26e16, 2.7e15, 8.7e15]`` gave
+    ``[2, 0, 0]``).  Rows whose largest entry is ``_EXACT_LIMIT`` or more
+    in magnitude are projected again after subtracting their maximum,
+    which does not move the projection."""
     out, top = _sort_threshold(rows)
     if np.abs(top).max() >= _EXACT_LIMIT:
         huge = np.abs(top) >= _EXACT_LIMIT

@@ -26,6 +26,10 @@ from .tensor import SparseTensor
 _CHUNK_ROWS = 4096
 _CHUNK_CHARS = 1 << 16
 
+# Text is read as UTF-8 with or without a leading byte-order mark, which
+# some editors add; it is written without one.
+_READ_ENCODING = "utf-8-sig"
+
 
 def _data_lines(handle):
     """The data lines of the open text file ``handle``: each line cut at its
@@ -48,7 +52,7 @@ def _data_lines(handle):
 
 def _read_data_lines(path):
     """The data lines of the UTF-8 text file ``path``, as a list."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding=_READ_ENCODING) as handle:
         return list(_data_lines(handle))
 
 
@@ -225,7 +229,7 @@ def write_tensor(path, tensor):
 
 
 def read_tensor(path):
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding=_READ_ENCODING) as handle:
         return tensor_from_lines(_data_lines(handle), path)
 
 
@@ -314,7 +318,7 @@ def write_instance(path, instance):
 
 
 def read_instance(path):
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding=_READ_ENCODING) as handle:
         return _instance_from_lines(_data_lines(handle), path)
 
 

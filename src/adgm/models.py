@@ -260,6 +260,38 @@ def _triangle_features(points, triples):
     return features, keep
 
 
+def _nearest_targets(src_features, tgt_features, k):
+    """The ``k`` nearest target features of every source feature by
+    squared distance, as ``(source, target, squared distance)`` arrays
+    ordered by source.  The distance tables live only inside this call."""
+    src_rows = []
+    tgt_rows = []
+    dist_rows = []
+    # Chunk the source side: the full distance table can be large.
+    chunk = max(1, int(2_000_000 // max(1, tgt_features.shape[0])))
+    tgt_sq = (tgt_features**2).sum(axis=1)
+    for lo in range(0, src_features.shape[0], chunk):
+        block = src_features[lo : lo + chunk]
+        dists = (
+            (block**2).sum(axis=1)[:, None]
+            + tgt_sq[None, :]
+            - 2.0 * (block @ tgt_features.T)
+        )
+        np.maximum(dists, 0.0, out=dists)
+        if k < dists.shape[1]:
+            nearest = np.argpartition(dists, k - 1, axis=1)[:, :k]
+        else:
+            nearest = np.broadcast_to(
+                np.arange(dists.shape[1]), (dists.shape[0], dists.shape[1])
+            )
+        rows = np.repeat(np.arange(lo, lo + dists.shape[0]), nearest.shape[1])
+        cols = nearest.ravel()
+        src_rows.append(rows)
+        tgt_rows.append(cols)
+        dist_rows.append(dists[rows - lo, cols])
+    return np.concatenate(src_rows), np.concatenate(tgt_rows), np.concatenate(dist_rows)
+
+
 def build_third_order(
     points1,
     points2,
@@ -312,36 +344,9 @@ def build_third_order(
         potentials = empty + (SparseTensor.empty(3, n),)
         return MatchingInstance(n1, n2, potentials, spec, Sense.MAXIMIZE, ground_truth)
 
-    k = min(knn, target_triples.shape[0])
-    src_rows = []
-    tgt_rows = []
-    dist_rows = []
-    # Chunk the source side: the full distance table can be large.
-    chunk = max(1, int(2_000_000 // max(1, target_triples.shape[0])))
-    tgt_sq = (tgt_features**2).sum(axis=1)
-    for lo in range(0, source_triples.shape[0], chunk):
-        block = src_features[lo : lo + chunk]
-        dists = (
-            (block**2).sum(axis=1)[:, None]
-            + tgt_sq[None, :]
-            - 2.0 * (block @ tgt_features.T)
-        )
-        np.maximum(dists, 0.0, out=dists)
-        if k < dists.shape[1]:
-            nearest = np.argpartition(dists, k - 1, axis=1)[:, :k]
-        else:
-            nearest = np.broadcast_to(
-                np.arange(dists.shape[1]), (dists.shape[0], dists.shape[1])
-            )
-        rows = np.repeat(np.arange(lo, lo + dists.shape[0]), nearest.shape[1])
-        cols = nearest.ravel()
-        src_rows.append(rows)
-        tgt_rows.append(cols)
-        dist_rows.append(dists[rows - lo, cols])
-    src_idx = np.concatenate(src_rows)
-    tgt_idx = np.concatenate(tgt_rows)
-    sq_dists = np.concatenate(dist_rows)
-
+    src_idx, tgt_idx, sq_dists = _nearest_targets(
+        src_features, tgt_features, min(knn, target_triples.shape[0])
+    )
     if gamma is None:
         gamma = float(sq_dists.mean())
     if gamma > 0.0:
@@ -350,13 +355,18 @@ def build_third_order(
         # All kept distances vanish: every kept match is a perfect one.
         values = np.ones_like(sq_dists)
 
-    base = np.empty((src_idx.shape[0], 3), dtype=np.int64)
+    # Each match under all 6 simultaneous vertex permutations, one block of
+    # rows per permutation, written in place.
+    perms = list(permutations(range(3)))
+    m = src_idx.shape[0]
+    indices = np.empty((len(perms), m, 3), dtype=np.int64)
     for slot in range(3):
-        base[:, slot] = assignment_index(
+        column = assignment_index(
             source_triples[src_idx, slot], target_triples[tgt_idx, slot], n1
         )
-    perms = list(permutations(range(3)))
-    indices = np.concatenate([base[:, perm] for perm in perms], axis=0)
+        for block, perm in zip(indices, perms):
+            block[:, perm.index(slot)] = column
+    indices = indices.reshape(-1, 3)
     all_values = np.tile(values, len(perms))
     third = SparseTensor(3, n, indices, all_values)
     potentials = empty + (third,)

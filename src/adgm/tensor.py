@@ -237,7 +237,11 @@ def _canonicalize(order, dim, indices, values):
     """Sort lexicographically, merge duplicate indices, drop exact zeros.
 
     Rows already sorted and distinct, as in every tensor file this package
-    writes, skip the sort.  They give the same bits: a row's merged value is
+    writes, skip the sort.  Other rows are sorted by their int64 keys with
+    ``_sorted_runs``.  When they are distinct they are only permuted; when
+    some repeat, ``np.bincount`` merges each run, adding its values in input
+    order, so the bits do not depend on how the sort orders equal keys.
+    Both give the bits of merging every row: a lone row's merged value is
     ``0.0 + v``, which is ``v``, or ``+0.0`` and dropped when ``v`` is
     ``-0.0``.
     """
@@ -252,33 +256,59 @@ def _canonicalize(order, dim, indices, values):
     if key is not None and np.all(key[1:] > key[:-1]):
         keep = values != 0.0
         return indices[keep], values[keep]
-    rows, inverse = _unique_rows(order, dim, indices, key)
-    merged = np.bincount(inverse, weights=values, minlength=rows.shape[0])
-    keep = merged != 0.0
-    return rows[keep], merged[keep]
+    runs = None if key is None else _sorted_runs(key)
+    del key
+    if runs is not None and runs[1].all():
+        # Distinct rows: the sort's permutation is the whole work.
+        rows, merged = indices.take(runs[0], axis=0), values.take(runs[0])
+    else:
+        rows, inverse = _unique_rows(order, dim, indices, runs)
+        merged = np.bincount(inverse, weights=values, minlength=rows.shape[0])
+    if not merged.all():
+        keep = merged != 0.0
+        rows, merged = rows[keep], merged[keep]
+    return rows, merged
 
 
-def _unique_rows(order, dim, indices, key=None):
+def _unique_rows(order, dim, indices, runs=None):
     """Distinct index rows in lexicographic order, and the position of each
     input row among them.
 
     Each row is encoded as the mixed-radix int64 key
     ``(i_1 * dim + i_2) * dim + ... + i_D``, whose numeric order is the
-    lexicographic row order, so one 1-D sort does the work.  Only when
-    ``dim**order`` does not fit in int64 are the rows sorted as rows.
-    ``key`` is the rows' ``_row_keys``, when the caller has it already.
+    lexicographic row order, so one 1-D sort (``_sorted_runs``) does the
+    work, and the first row of each run of equal keys is taken as it is.
+    Only when ``dim**order`` does not fit in int64 are the rows sorted as
+    rows.  ``runs`` is the ``_sorted_runs`` of the rows' keys, when the
+    caller has it already.
     """
-    if key is None:
+    if runs is None:
         key = _row_keys(order, dim, indices)
-    if key is None:
-        rows, inverse = np.unique(indices, axis=0, return_inverse=True)
-        return rows, inverse.ravel()
-    key, inverse = np.unique(key, return_inverse=True)
-    rows = np.empty((key.shape[0], order), dtype=np.int64)
-    for m in range(order - 1, 0, -1):
-        key, rows[:, m] = np.divmod(key, dim)
-    rows[:, 0] = key
-    return rows, inverse
+        if key is None:
+            rows, inverse = np.unique(indices, axis=0, return_inverse=True)
+            return rows, inverse.ravel()
+        runs = _sorted_runs(key)
+    perm, first = runs
+    rank = first.cumsum()
+    rank -= 1
+    inverse = np.empty_like(perm)
+    inverse[perm] = rank
+    return indices.take(perm[first], axis=0), inverse
+
+
+def _sorted_runs(key):
+    """The permutation that sorts the 1-D ``key``, and a mask of the sorted
+    keys that differ from their predecessor, each the first of its run of
+    equal keys.
+
+    The sort is numpy's default quicksort, which is not stable: callers
+    read only the runs, and which equal key comes first does not matter."""
+    perm = key.argsort()
+    key = key.take(perm)
+    first = np.empty(key.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return perm, first
 
 
 def _row_keys(order, dim, indices, modes=None):

@@ -177,11 +177,6 @@ def test_simplex_projection_stays_on_the_simplex_at_every_scale():
                 assert np.array_equal(got, np.arange(v.size) == v.argmax())
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="FOUND in CHANGES.md (ROADMAP item 5): the partial sums of large, close "
-    "entries round before the 1 is taken off, so the row misses the simplex",
-)
 def test_simplex_projection_of_large_close_entries_sums_to_one():
     for v in ([1e15 + 0.125, 1e15], [1e12 + 0.3, 1e12 + 0.2, 1e12]):
         got = project_simplex(np.array(v), SimplexMode.SUM_EQUALS_ONE)

@@ -16,6 +16,7 @@ import pytest
 import adgm
 from adgm import io as io_module
 from adgm.constraints import ConstraintSpec, SideMode
+from adgm.harness import read_experiment_config
 from adgm.io import (
     read_edges,
     read_instance,
@@ -441,6 +442,51 @@ def test_text_is_utf8_whatever_the_locale(tmp_path):
         check=True,
     )
     assert (tmp_path / "solution.txt").read_bytes() == "# note café\n0 0\n".encode()
+
+
+def _write_config(path):
+    path.write_text("model = a\nvalues = 0, 1\n", encoding="utf-8")
+
+
+# Each reader with a writer of a file it reads.
+_READERS = {
+    "points": (lambda p: write_points(p, np.array([[0.5, 0.25], [1.0, -2.0]])), read_points),
+    "edges": (lambda p: write_edges(p, [(0, 1), (1, 2)]), read_edges),
+    "unary": (lambda p: write_unary(p, np.arange(6.0).reshape(2, 3) / 7), read_unary),
+    "truth": (
+        lambda p: write_truth(p, row_targets_to_truth([1, 2], 2, 3), 2, 3),
+        lambda p: read_truth(p, 2, 3),
+    ),
+    "tensor": (
+        lambda p: write_tensor(p, SparseTensor(2, 4, [[0, 1], [3, 2]], [1.5, -2.0])),
+        read_tensor,
+    ),
+    "instance": (lambda p: write_instance(p, _sample_instance()), read_instance),
+    "config": (_write_config, read_experiment_config),
+}
+
+
+def _same_read(a, b):
+    if isinstance(a, MatchingInstance):
+        return (
+            (a.n1, a.n2, a.spec, a.sense, a.potentials) == (b.n1, b.n2, b.spec, b.sense, b.potentials)
+            and np.array_equal(a.ground_truth, b.ground_truth)
+        )
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return a == b
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_a_leading_byte_order_mark_is_skipped_and_never_written(tmp_path, reader):
+    write, read = _READERS[reader]
+    path = tmp_path / "plain.txt"
+    write(path)
+    data = path.read_bytes()
+    assert not data.startswith(b"\xef\xbb\xbf")
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + data)
+    assert _same_read(read(marked), read(path))
 
 
 class TestTruth:

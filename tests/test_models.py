@@ -1,6 +1,7 @@
 """Tests for the geometric model builders and their helpers."""
 
 import math
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -9,7 +10,7 @@ import scipy.spatial
 
 from adgm.constraints import assignment_index
 from adgm.discretize import brute_force_optimum
-from adgm.harness import generate_synthetic
+from adgm.harness import Transform, generate_synthetic
 from adgm.models import (
     build_pairwise_a,
     build_pairwise_b,
@@ -420,6 +421,19 @@ class TestThirdOrder:
         first = build_third_order(p, q, triangle_budget=10, seed=99)
         second = build_third_order(p, q, triangle_budget=10, seed=99)
         assert first.potentials[2] == second.potentials[2]
+
+    def test_build_peaks_below_three_and_a_half_times_the_instance(self):
+        # 10+5 points: 36k kept matches, a 216k-entry order-3 tensor.
+        p, q, _ = generate_synthetic(10, 5, 0.02, Transform(rotation=0.3), seed=1)
+        tracemalloc.start()
+        try:
+            inst = build_third_order(p, q, knn=300, triangle_budget=5000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.potentials[2].nnz == 216_000
+        kept = sum(t.indices.nbytes + t.values.nbytes for t in inst.potentials)
+        assert peak < 3.5 * kept
 
     def test_parameter_validation(self):
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -78,16 +79,22 @@ def test_key_sort_matches_rowwise_reference(order):
     assert not np.any(np.all(tensor.indices == indices[0], axis=1))
 
 
-def _row_sorts(monkeypatch):
-    """Record the ``axis`` argument of every ``np.unique`` call."""
-    calls = []
-    unique = np.unique
+def _sort_spies(monkeypatch):
+    """Count the key sorts (``_sorted_runs``) and record the ``axis``
+    argument of every ``np.unique`` call."""
+    calls = {"key": 0, "unique": []}
+    sorted_runs, unique = tensor_module._sorted_runs, np.unique
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("axis"))
+    def key_spy(key):
+        calls["key"] += 1
+        return sorted_runs(key)
+
+    def unique_spy(*args, **kwargs):
+        calls["unique"].append(kwargs.get("axis"))
         return unique(*args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", spy)
+    monkeypatch.setattr(tensor_module, "_sorted_runs", key_spy)
+    monkeypatch.setattr(np, "unique", unique_spy)
     return calls
 
 
@@ -101,11 +108,106 @@ def test_key_range_selects_the_sort(monkeypatch, order, dim, row_sort):
     indices = rng.integers(dim - 4, dim, size=(300, order))
     indices[:100] = rng.integers(0, dim, size=(100, order))
     values = rng.normal(size=300)
-    calls = _row_sorts(monkeypatch)
+    calls = _sort_spies(monkeypatch)
     tensor = SparseTensor(order, dim, indices, values)
-    assert calls == [0 if row_sort else None]
+    expected = {"key": 0, "unique": [0]} if row_sort else {"key": 1, "unique": []}
+    assert calls == expected
     monkeypatch.undo()
     _assert_same_arrays(tensor, *oracles.rowwise_canonicalize(order, indices, values))
+
+
+# A dim per order whose dim**order fits the int64 row keys, and one whose
+# dim**order does not, so the rows are sorted as rows.
+_KEY_DIMS = {1: 50, 2: 50, 3: 50, 4: 50}
+_ROW_DIMS = {1: 1 << 64, 2: 1 << 32, 3: 1 << 22, 4: 1 << 16}
+
+
+def _shuffled_rows(rng, order, dim, distinct):
+    """400 shuffled index rows drawn from a pool of 150 distinct ones, all
+    distinct when ``distinct``, with normal values."""
+    high = min(dim, 1 << 62)
+    pool = rng.integers(0, high, size=(150, order))
+    pool[0] = high - 1
+    pool = np.unique(pool, axis=0)
+    rows = pool if distinct else pool[rng.integers(0, pool.shape[0], size=400)]
+    rows = rows[rng.permutation(rows.shape[0])]
+    return rows.astype(np.int64), rng.normal(size=rows.shape[0])
+
+
+@pytest.mark.parametrize("path", ["key", "row"])
+@pytest.mark.parametrize("distinct", [True, False], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_sort_paths_match_the_rowwise_references(order, distinct, path):
+    dim = (_KEY_DIMS if path == "key" else _ROW_DIMS)[order]
+    assert (tensor_module._row_keys(order, dim, np.zeros((1, order), np.int64)) is None) == (
+        path == "row"
+    )
+    rng = np.random.default_rng(10 * order + distinct)
+    indices, values = _shuffled_rows(rng, order, dim, distinct)
+    values[::7] = 0.0
+    values[1::9] = -0.0
+    before = indices.copy(), values.copy()
+    got = tensor_module._canonicalize(order, dim, indices, values)
+    for a, b in zip(got, oracles.rowwise_canonicalize(order, indices, values)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    rows, inverse = tensor_module._unique_rows(order, dim, indices)
+    expected_rows, expected_inverse = np.unique(indices, axis=0, return_inverse=True)
+    assert rows.dtype == np.int64 and np.array_equal(rows, expected_rows)
+    assert inverse.shape == (indices.shape[0],)
+    assert np.array_equal(inverse, expected_inverse.ravel())
+    assert indices.tobytes() == before[0].tobytes()
+    assert values.tobytes() == before[1].tobytes()
+
+
+@pytest.mark.parametrize("terms", list(permutations([1e16, 1.0, -1e16])))
+def test_repeated_rows_add_their_values_in_input_order(terms):
+    # Floating-point addition is not associative: the three terms sum to
+    # 0.0 or 1.0 depending on their order, so a merge in any other order
+    # than the input's changes the bits.
+    rng = np.random.default_rng(3)
+    others = rng.integers(0, 9, size=(60, 3))
+    others = others[np.any(others != [4, 4, 4], axis=1)]
+    indices = np.concatenate([others, [[4, 4, 4]] * 3])
+    values = np.concatenate([rng.normal(size=others.shape[0]), terms])
+    perm = rng.permutation(values.size)
+    indices, values = indices[perm], values[perm]
+    total = 0.0
+    for term in values[np.all(indices == 4, axis=1)]:
+        total += term
+    tensor = SparseTensor(3, 9, indices, values)
+    _assert_same_arrays(tensor, *oracles.rowwise_canonicalize(3, indices, values))
+    at = np.all(tensor.indices == 4, axis=1)
+    assert tensor.values[at].tolist() == ([total] if total else [])
+
+
+def test_signed_zeros_and_cancelling_pairs_are_dropped():
+    indices = [[5, 1], [0, 2], [3, 3], [0, 2], [4, 0], [3, 3], [1, 1], [4, 0], [2, 2]]
+    values = [-0.0, 2.5, 1.25, -2.5, 0.0, -1.25, 7.0, -0.0, 5e-324]
+    tensor = SparseTensor(2, 6, indices, values)
+    assert dict(tensor.items()) == {(1, 1): 7.0, (2, 2): 5e-324}
+    _assert_same_arrays(tensor, *oracles.rowwise_canonicalize(2, indices, values))
+    lone = SparseTensor(2, 6, [[5, 1], [0, 2]], [-0.0, 3.0])
+    _assert_same_arrays(lone, np.array([[0, 2]]), np.array([3.0]))
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_canonicalizing_shuffled_rows_peaks_below_twice_their_bytes():
+    rng = np.random.default_rng(4)
+    dim, nnz = 150, 216_000
+    keys = rng.choice(dim**3, size=nnz, replace=False)
+    indices = np.stack(np.unravel_index(keys, (dim,) * 3), axis=1).astype(np.int64)
+    values = rng.normal(size=nnz)
+    tensor, peak = _traced_peak(lambda: SparseTensor(3, dim, indices, values))
+    assert tensor.nnz == nnz
+    assert peak < 2 * (indices.nbytes + values.nbytes)
 
 
 def test_immutable():
