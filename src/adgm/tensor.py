@@ -10,8 +10,11 @@ Tensors are stored in coordinate format (an ``(nnz, order)`` index array and
 a parallel value array) and are canonical by construction: indices sorted
 lexicographically, duplicate indices merged by summation, exact zeros
 dropped.  Instances are immutable.  ``partial_contraction`` caches, on
-first use, one sparse matrix per open mode whose columns are the distinct
-closed-mode index rows that occur.  An exactly supersymmetric order-3
+first use, one operator per open mode whose columns are the distinct
+closed-mode index rows that occur.  An operator at least half full is a
+dense ``(columns, dim)`` array, and a sparser one keeps its entries in
+(row, column) order; both are plain numpy arrays, and every row of a pull
+adds its terms in column order.  An exactly supersymmetric order-3
 tensor instead caches one half-size set of entries, grouped by closed
 column, that every mode shares.  Its pull forms ``u (x) v + v (x) u`` only
 on the blocks' support ``S``, the indices where either is nonzero, and
@@ -27,7 +30,6 @@ import operator
 from itertools import permutations
 
 import numpy as np
-from scipy import sparse
 
 # Largest dim**2 for which a supersymmetric order-3 tensor takes the half
 # operator, whose column pointers have dim**2 + 1 entries and whose pull
@@ -145,8 +147,8 @@ class SparseTensor:
     # -- cached contraction helpers ------------------------------------
 
     def _contraction_operator(self, open_mode):
-        """Sparse matrix mapping the closed-mode index rows to the open
-        mode, and those rows.
+        """Operator mapping the closed-mode index rows to the open mode
+        (``_mode_operator``), and those rows.
 
         Row = index along ``open_mode``; column = rank, in lexicographic
         order, of the entry's closed-mode index row (the other modes in mode
@@ -160,9 +162,8 @@ class SparseTensor:
                 rows, cols = _unique_rows(self.order - 1, self.dim, closed)
             else:
                 rows, cols = closed[:1], np.zeros(self.nnz, dtype=np.int64)
-            op = sparse.csr_matrix(
-                (self.values, (self.indices[:, open_mode - 1], cols)),
-                shape=(self.dim, rows.shape[0]),
+            op = _mode_operator(
+                self.indices[:, open_mode - 1], cols, self.values, self.dim, rows.shape[0]
             )
             cached = (op, tuple(np.ascontiguousarray(rows.T)))
             self._contract_cache[open_mode] = cached
@@ -187,18 +188,7 @@ class SparseTensor:
             fits = self.order == 3 and self.dim**2 <= _MATVEC_CAP
             if fits and _is_supersymmetric(self):
                 cache["plans"] = {}
-                a, b, c = self.indices.T
-                keep = b <= c
-                values = np.where(b == c, 0.5 * self.values, self.values)[keep]
-                op = sparse.csr_matrix(
-                    (values, (b[keep] * self.dim + c[keep], a[keep])),
-                    shape=(self.dim**2, self.dim),
-                )
-                cache["half"] = (
-                    op.indptr.astype(np.intp),
-                    op.indices.astype(np.intp),
-                    op.data,
-                )
+                cache["half"] = _half_entries(self)
         return cache["half"]
 
     def _support_plan(self, support):
@@ -346,6 +336,42 @@ def _is_supersymmetric(tensor):
     return True
 
 
+def _mode_operator(targets, cols, values, dim, ncols):
+    """A per-mode operator with the entries ``values`` at rows ``targets``
+    and columns ``cols`` (distinct pairs) and shape ``(dim, ncols)``.
+
+    At least half full, it is the dense transposed ``(ncols, dim)`` array,
+    which then takes at most ~1.3x the bytes of a compressed matrix.
+    Otherwise it is the tuple ``(targets, cols, values)`` with the entries
+    in (row, column) order.
+    """
+    if 2 * values.size >= ncols * dim:
+        dense = np.zeros((ncols, dim))
+        dense[cols, targets] = values
+        return dense
+    perm = np.argsort(targets * ncols + cols)
+    return targets.take(perm), cols.take(perm), values.take(perm)
+
+
+def _half_entries(tensor):
+    """The half operator's ``(starts, rows, values)`` of an exactly
+    supersymmetric order-3 tensor (see ``SparseTensor._half_operator``).
+
+    Its stored rows are closed under the cyclic shift of the modes, so a
+    canonical row ``(x, y, z)`` also stores ``T[z, x, y]``, with the same
+    value.  Read as ``(b, c, a)``, the rows with ``x <= y`` are the kept
+    entries, already in column order with their rows ascending inside each
+    column: no sort is needed.
+    """
+    dim = tensor.dim
+    x, y, z = tensor.indices.T
+    keep = x <= y
+    values = np.where(x == y, 0.5 * tensor.values, tensor.values)[keep]
+    starts = np.zeros(dim**2 + 1, dtype=np.intp)
+    np.cumsum(np.bincount(x[keep] * dim + y[keep], minlength=dim**2), out=starts[1:])
+    return starts, z[keep].astype(np.intp, copy=False), values
+
+
 def multilinear_form(tensor, vectors):
     """Evaluate ``F(x_1, ..., x_D)``: contract every mode with a vector.
 
@@ -454,7 +480,26 @@ def partial_contraction(tensor, open_mode, left, right):
     work = factors[0]
     for factor in factors[1:]:
         work *= factor
-    return op @ work
+    # Every row adds its terms to +0.0 in column order, so the bits are
+    # those of applying each stored entry in turn.
+    if type(op) is tuple:
+        targets, cols, values = op
+        return np.bincount(targets, weights=values * work.take(cols), minlength=tensor.dim)
+    if not math.isfinite(work.sum()):
+        # 0 * inf is NaN: only the stored entries may meet the work.
+        cols, targets = op.nonzero()
+        terms = op[cols, targets] * work.take(cols)
+        return np.bincount(targets, weights=terms, minlength=tensor.dim)
+    # A zero column of the work adds only +-0.0 terms to sums that start at
+    # +0.0, which leaves them unchanged, so its row of the operator is
+    # skipped.  This einsum's kernel adds each product, unfused, into the
+    # zeroed output, the columns in order.
+    nonzero = work.nonzero()[0]
+    if nonzero.size == 0:
+        return np.zeros(tensor.dim)
+    if 2 * nonzero.size < work.size:
+        op, work = op.take(nonzero, axis=0), work.take(nonzero)
+    return np.einsum("ka,k->a", op, work)
 
 
 def symmetrize(tensor):

@@ -1,12 +1,15 @@
-"""Shared random generators for the test suite."""
+"""Shared generators, spies and probes for the test suite."""
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
+import adgm
 from adgm import tensor as tensor_module
 from adgm.constraints import ConstraintSpec
 from adgm.solver import MatchingInstance, Sense, SolverState
@@ -58,14 +61,32 @@ def random_state(rng, instance, rho=None):
     )
 
 
-def csr_builds(monkeypatch):
-    """Record every sparse contraction operator that ``adgm.tensor`` builds
-    until ``monkeypatch`` is undone; returns the list of recorded calls."""
+def operator_builds(monkeypatch):
+    """Record every contraction operator that ``adgm.tensor`` builds, per
+    mode or half-size, until ``monkeypatch`` is undone; returns the list of
+    recorded calls."""
     built = []
+    for name in ("_mode_operator", "_half_entries"):
+        build = getattr(tensor_module, name)
 
-    def spy(*args, **kwargs):
-        built.append(args)
-        return sparse.csr_matrix(*args, **kwargs)
+        def spy(*args, build=build):
+            built.append(args)
+            return build(*args)
 
-    monkeypatch.setattr(tensor_module, "sparse", SimpleNamespace(csr_matrix=spy))
+        monkeypatch.setattr(tensor_module, name, spy)
     return built
+
+
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this ``adgm``, and
+    return what it prints."""
+    src = str(Path(adgm.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout

@@ -1,25 +1,17 @@
 """What ``import adgm`` loads.
 
-The scipy subpackages below each add 10-26 MB of resident memory when
-imported, more than the benchmark's peak-memory bound allows on the
-smallest workload, so the package must not load them at import time.
+Importing scipy's sparse matrices alone takes ~20 MB of resident memory,
+two thirds of what numpy and the whole package take together, and the other
+subpackages each add 10-26 MB more.  The package needs none of them, so
+no front end may load any scipy module.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import adgm
-
-HEAVY = ("scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph")
+from helpers import run_fresh
 
 
-def test_import_does_not_load_heavy_scipy_subpackages():
-    src = str(Path(adgm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, adgm; print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+def test_import_loads_no_scipy_module():
+    code = (
+        "import sys, adgm, adgm.cli, adgm.harness; "
+        "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    assert out.stdout.split() == []
+    assert run_fresh(code).split() == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import csr_builds, dense_random_instance, random_instance, random_state
+from helpers import dense_random_instance, operator_builds, random_instance, random_state
 
 from adgm import solver
 from adgm.constraints import ConstraintSpec, as_vector, feasibility
@@ -365,7 +365,7 @@ def test_two_solves_of_one_instance_build_each_operator_once(monkeypatch):
     # The supersymmetric tensor shares one operator among its three modes;
     # one ulp off symmetry, each mode builds its own.
     for instance, expected in ((inst, 1), (nudged, 3)):
-        built = csr_builds(monkeypatch)
+        built = operator_builds(monkeypatch)
         for variant in (Variant.ADGM1, Variant.ADGM2):
             solve(instance, SolverConfig(variant=variant, max_iter=5))
         assert len(built) == expected

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import csr_builds, random_sparse_tensor
+from helpers import operator_builds, random_sparse_tensor
 
 from adgm import tensor as tensor_module
 from adgm.tensor import (
@@ -482,6 +482,47 @@ def test_pulls_are_byte_equal_to_the_per_mode_reference(order):
             assert got.tobytes() == expected.tobytes()
 
 
+def _closed_vector(rng, dim, kind):
+    """A closed-mode vector: all +-0.0, partly +-0.0, without zeros, or
+    partly +-0.0 with an inf or NaN, whose products with zero are NaN."""
+    x = rng.normal(size=dim)
+    if kind != "full":
+        zero = rng.random(dim) < (1.0 if kind == "zero" else 0.5)
+        x[zero] = rng.choice([0.0, -0.0], size=np.count_nonzero(zero))
+    if kind == "non-finite":
+        x[rng.integers(dim)] = rng.choice([np.inf, -np.inf, np.nan])
+    return x
+
+
+@pytest.mark.parametrize("layout", ["dense", "sparse"])
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_both_operator_layouts_are_bit_equal_to_the_csr_reference(order, layout):
+    # A dense operator skips the rows of zero work and adds the rest with
+    # einsum; that is bit-equal to a compressed matrix only while einsum's
+    # kernel adds each unfused product in column order.
+    rng = np.random.default_rng(90 + order)
+    dim = {2: 9, 3: 5, 4: 4}[order] if layout == "dense" else 12
+    for _ in range(12):
+        scale = rng.choice([1.0, 1e-300, 1e300])
+        if layout == "dense":
+            grid = np.indices((dim,) * order).reshape(order, -1).T
+            rows = grid[rng.random(grid.shape[0]) < 0.7]
+            t = SparseTensor(order, dim, rows, rng.normal(0.0, scale, rows.shape[0]))
+        else:
+            t = random_sparse_tensor(rng, order, dim, nnz=3 * dim, scale=scale)
+        for open_mode in range(1, order + 1):
+            op, _ = t._contraction_operator(open_mode)
+            assert isinstance(op, np.ndarray) == (layout == "dense")
+            for kind in ("zero", "signed-zero", "full", "non-finite"):
+                vectors = [_closed_vector(rng, dim, kind) for _ in range(order - 1)]
+                left, right = vectors[: open_mode - 1], vectors[open_mode - 1 :]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = partial_contraction(t, open_mode, left, right)
+                    expected = oracles.per_mode_partial_contraction(t, open_mode, left, right)
+                assert got.dtype == np.float64
+                assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("order, dim, nnz", [(3, 1100, 4000), (4, 110, 4000)])
 def test_pulls_beyond_the_old_cap_match_the_gather_reference(order, dim, nnz):
     # One column per possible closed-index combination would need
@@ -495,7 +536,7 @@ def test_pulls_beyond_the_old_cap_match_the_gather_reference(order, dim, nnz):
         got = partial_contraction(t, open_mode, left, right)
         expected = oracles.gather_partial_contraction(t, open_mode, left, right)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-        assert t._contract_cache[open_mode][0].shape[1] <= t.nnz
+        assert t._contract_cache[open_mode][1][0].size <= t.nnz
 
 
 def test_closed_rows_beyond_int64_keys_match_an_entry_loop():
@@ -520,7 +561,7 @@ def test_closed_rows_beyond_int64_keys_match_an_entry_loop():
                 [v[i] for v, i in zip(vectors, closed)]
             )
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-        assert t._contract_cache[open_mode][0].shape[1] == 7
+        assert t._contract_cache[open_mode][1][0].size == 7
 
 
 def test_partial_contraction_validates_lengths():
@@ -562,7 +603,7 @@ def test_supersymmetric_order3_contracts_through_one_half_operator(monkeypatch, 
         t = _orbit_tensor(rng, dim)
         assert _is_supersymmetric(t)
         dense = oracles.dense_tensor(t)
-        built = csr_builds(monkeypatch)
+        built = operator_builds(monkeypatch)
         for open_mode in (1, 2, 3):
             left, right = _mode_vectors(rng, dim, open_mode)
             got = partial_contraction(t, open_mode, left, right)
@@ -726,7 +767,7 @@ def test_tensor_off_symmetry_keeps_the_per_mode_operators(monkeypatch, kind):
     for dim in (2, 4, 7):
         t = _off_symmetry(rng, dim, kind)
         assert not _is_supersymmetric(t)
-        built = csr_builds(monkeypatch)
+        built = operator_builds(monkeypatch)
         for open_mode in (1, 2, 3):
             left, right = _mode_vectors(rng, dim, open_mode)
             got = partial_contraction(t, open_mode, left, right)
@@ -742,7 +783,7 @@ def test_supersymmetric_tensor_beyond_the_cap_takes_the_per_mode_operators(monke
     dim = 6
     t = _orbit_tensor(rng, dim)
     monkeypatch.setattr(tensor_module, "_MATVEC_CAP", dim**2 - 1)
-    built = csr_builds(monkeypatch)
+    built = operator_builds(monkeypatch)
     for open_mode in (1, 2, 3):
         left, right = _mode_vectors(rng, dim, open_mode)
         got = partial_contraction(t, open_mode, left, right)
