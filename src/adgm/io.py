@@ -45,7 +45,13 @@ def _data_lines(handle):
     def blocks():
         while block := handle.read(_CHUNK_CHARS):
             block += handle.readline()
-            yield [line for raw in block.splitlines() if (line := raw.split("#", 1)[0].strip())]
+            if "#" in block:
+                yield [
+                    line for raw in block.splitlines() if (line := raw.split("#", 1)[0].strip())
+                ]
+            else:
+                # No comment to cut: the lines are stripped in C.
+                yield list(filter(None, map(str.strip, block.splitlines())))
 
     return itertools.chain.from_iterable(blocks())
 
@@ -64,6 +70,8 @@ def _write_text(path, chunks):
             if lines:
                 handle.write("\n".join(lines))
                 handle.write("\n")
+            # Not held while the next chunk is made.
+            del lines
 
 
 def _fmt(value):
@@ -75,12 +83,31 @@ def _row_chunks(columns):
     lists of at most ``_CHUNK_ROWS``: float fields written with ``repr``,
     integer fields with ``str``, joined by single spaces."""
     rows = len(columns[0]) if columns else 0
+    if rows == 0:
+        return
+    formats = [_field_format(c) for c in columns]
     for start in range(0, rows, _CHUNK_ROWS):
-        fields = [
-            list(map(repr if c.dtype.kind == "f" else str, c[start : start + _CHUNK_ROWS].tolist()))
-            for c in columns
-        ]
-        yield list(map(" ".join, zip(*fields)))
+        part = slice(start, start + _CHUNK_ROWS)
+        # The fields go as soon as their lines are joined.
+        yield list(map(" ".join, zip(*[fmt(c[part]) for fmt, c in zip(formats, columns)])))
+
+
+def _field_format(column):
+    """A function from a slice of the non-empty 1-D array ``column`` to the
+    texts of its fields: ``repr`` of each float, ``str`` of each integer.
+
+    An integer column that spans no more values than it has rows, as a
+    tensor's index column does once it stores more entries than its dim,
+    reads its texts from a table of ``str`` of each value it spans, made
+    once: no int and no str is made per field.  A wider column keeps
+    ``str`` per field, so the table is never larger than the column."""
+    if column.dtype.kind == "f":
+        return lambda part: list(map(repr, part.tolist()))
+    low, high = int(column.min()), int(column.max())
+    if high - low >= column.size:
+        return lambda part: list(map(str, part.tolist()))
+    texts = np.array([str(i) for i in range(low, high + 1)], dtype=object)
+    return lambda part: texts.take(part - low).tolist()
 
 
 def _ints(path, line, count, need, parts=None):

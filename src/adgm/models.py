@@ -198,15 +198,29 @@ def build_pairwise_a(
 def _fully_connected(points1, points2, spec, sense, ground_truth, score):
     """Instance with one pairwise entry per ordered node pair of each set,
     valued ``score(d1, u1, d2, u2)`` over their segment tables (see
-    _segment_table); unaries zero."""
+    _segment_table); unaries zero.
+
+    The entry of segments ``i1 -> j1`` and ``i2 -> j2`` has the indices
+    ``(i2 * n1 + i1, j2 * n1 + j1)``, so ordering the entries by ``(i2, i1,
+    j2, j1)`` sorts them: the tensor is handed its entries in canonical
+    order and takes no sort."""
     pts1 = _as_points(points1)
     pts2 = _as_points(points2)
     n1, n2 = pts1.shape[0], pts2.shape[0]
     spec = _resolve_spec(spec, n1, n2)
     s1, t1 = _directed_pairs(n1)
     s2, t2 = _directed_pairs(n2)
-    values = score(*_segment_table(pts1, s1, t1), *_segment_table(pts2, s2, t2))
-    pairwise = _pairwise_tensor(n1, n2, s1, t1, s2, t2, values)
+    grid = score(*_segment_table(pts1, s1, t1), *_segment_table(pts2, s2, t2))
+    # Segment k = i * (n - 1) + j' of a set runs from i to its j'-th other
+    # point, so the score grid reads (i1, j1', i2, j2').
+    values = np.ascontiguousarray(grid.reshape(n1, n1 - 1, n2, n2 - 1).transpose(2, 0, 3, 1))
+    del grid
+    i1, i2 = np.arange(n1)[:, None, None], np.arange(n2)[:, None, None, None]
+    j1, j2 = t1.reshape(n1, n1 - 1)[:, None], t2.reshape(n2, n2 - 1)[:, None, :, None]
+    indices = np.empty(values.shape + (2,), dtype=np.int64)
+    indices[..., 0] = assignment_index(i1, i2, n1)
+    indices[..., 1] = assignment_index(j1, j2, n1)
+    pairwise = SparseTensor(2, n1 * n2, indices.reshape(-1, 2), values.ravel())
     potentials = (SparseTensor.empty(1, n1 * n2), pairwise)
     return MatchingInstance(n1, n2, potentials, spec, sense, ground_truth)
 

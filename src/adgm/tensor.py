@@ -14,7 +14,9 @@ first use, one operator per open mode whose columns are the distinct
 closed-mode index rows that occur.  An operator at least half full is a
 dense ``(columns, dim)`` array, and a sparser one keeps its entries in
 (row, column) order; both are plain numpy arrays, and every row of a pull
-adds its terms in column order.  An exactly supersymmetric order-3
+adds its terms in column order.  One dense operator serves both modes of
+an exactly symmetric order-2 tensor that stores every index, such as a
+fully connected pairwise model's.  An exactly supersymmetric order-3
 tensor instead caches one half-size set of entries, grouped by closed
 column, that every mode shares.  Its pull forms ``u (x) v + v (x) u`` only
 on the blocks' support ``S``, the indices where either is nonzero, and
@@ -155,18 +157,35 @@ class SparseTensor:
         order) among the distinct ones stored.  The rows come back as one
         index array per closed mode; an order-1 tensor has one empty row.
         """
-        cached = self._contract_cache.get(open_mode)
+        cache = self._contract_cache
+        cached = cache.get(open_mode)
         if cached is None:
-            closed = np.delete(self.indices, open_mode - 1, axis=1)
-            if self.order > 1:
-                rows, cols = _unique_rows(self.order - 1, self.dim, closed)
+            if self.order == 2:
+                # Ranked by a presence mask over [0, dim): no sort, and no
+                # contiguous copy of the strided index column either.
+                closed = self.indices[:, 2 - open_mode]
+                present = np.zeros(self.dim, dtype=bool)
+                present[closed] = True
+                rows = present.nonzero()
+                ncols = rows[0].size
+                # With every index present, each column is its own index.
+                cols = closed if ncols == self.dim else (present.cumsum() - 1).take(closed)
             else:
-                rows, cols = closed[:1], np.zeros(self.nnz, dtype=np.int64)
-            op = _mode_operator(
-                self.indices[:, open_mode - 1], cols, self.values, self.dim, rows.shape[0]
-            )
-            cached = (op, tuple(np.ascontiguousarray(rows.T)))
-            self._contract_cache[open_mode] = cached
+                closed = np.delete(self.indices, open_mode - 1, axis=1)
+                if self.order > 1:
+                    rows, cols = _unique_rows(self.order - 1, self.dim, closed)
+                else:
+                    rows, cols = closed[:1], np.zeros(self.nnz, dtype=np.int64)
+                ncols, rows = rows.shape[0], tuple(np.ascontiguousarray(rows.T))
+            targets = self.indices[:, open_mode - 1]
+            op = _mode_operator(targets, cols, self.values, self.dim, ncols)
+            cached = cache[open_mode] = (op, rows)
+            # A square dense order-2 operator equal to its transpose is the
+            # other mode's operator too, bit for bit: its stored values are
+            # nonzero, and every other cell is +0.0 in both.
+            square = self.order == 2 and ncols == self.dim and type(op) is not tuple
+            if square and np.array_equal(op, op.T):
+                cache[3 - open_mode] = cached
         return cached
 
     def _half_operator(self):
@@ -227,10 +246,11 @@ def _canonicalize(order, dim, indices, values):
     """Sort lexicographically, merge duplicate indices, drop exact zeros.
 
     Rows already sorted and distinct, as in every tensor file this package
-    writes, skip the sort.  Other rows are sorted by their int64 keys with
-    ``_sorted_runs``.  When they are distinct they are only permuted; when
-    some repeat, ``np.bincount`` merges each run, adding its values in input
-    order, so the bits do not depend on how the sort orders equal keys.
+    writes and every pairwise tensor models b and c build, skip the sort.
+    Other rows are sorted by their int64 keys with ``_sorted_runs``.  When
+    they are distinct they are only permuted; when some repeat,
+    ``np.bincount`` merges each run, adding its values in input order, so
+    the bits do not depend on how the sort orders equal keys.
     Both give the bits of merging every row: a lone row's merged value is
     ``0.0 + v``, which is ``v``, or ``+0.0`` and dropped when ``v`` is
     ``-0.0``.
@@ -244,6 +264,8 @@ def _canonicalize(order, dim, indices, values):
         return np.empty((1, 0), dtype=np.int64), np.array([total])
     key = _row_keys(order, dim, indices)
     if key is not None and np.all(key[1:] > key[:-1]):
+        # The keys go before the entries are copied, so both are never held.
+        del key
         keep = values != 0.0
         return indices[keep], values[keep]
     runs = None if key is None else _sorted_runs(key)

@@ -16,7 +16,7 @@ import pytest
 import adgm
 from adgm import io as io_module
 from adgm.constraints import ConstraintSpec, SideMode
-from adgm.harness import read_experiment_config
+from adgm.harness import Transform, generate_synthetic, read_experiment_config
 from adgm.io import (
     read_edges,
     read_instance,
@@ -37,6 +37,7 @@ from adgm.io import (
     write_truth,
     write_unary,
 )
+from adgm.models import build_pairwise_c
 from adgm.solver import MatchingInstance, Sense
 from adgm.tensor import SparseTensor
 
@@ -414,6 +415,21 @@ class TestStreamedText:
         assert write_peak < path.stat().st_size
         assert read_peak < 3 * array_bytes
 
+
+    def test_reading_a_model_c_instance_peaks_below_2_2_tensors(self, tmp_path):
+        # cli_pairwise's size: 20+5 points, a 228k-entry pairwise tensor.
+        p, q, _ = generate_synthetic(20, 5, 0.02, Transform(rotation=0.3), seed=1)
+        path = tmp_path / "instance.txt"
+        write_instance(path, build_pairwise_c(p, q))
+        tracemalloc.start()
+        try:
+            loaded = read_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pair = loaded.potentials[1]
+        assert pair.nnz == 228_000
+        assert peak < 2.2 * (pair.indices.nbytes + pair.values.nbytes)
 
 def test_text_is_utf8_whatever_the_locale(tmp_path):
     (tmp_path / "tensor.txt").write_bytes("# café\norder 1 dim 3\n0 1.5  # naïve\n".encode())

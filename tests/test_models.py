@@ -5,13 +5,17 @@ import tracemalloc
 from itertools import combinations, permutations, product
 
 import numpy as np
+import oracles
 import pytest
 import scipy.spatial
 
 from adgm.constraints import assignment_index
 from adgm.discretize import brute_force_optimum
+from adgm import tensor as tensor_module
 from adgm.harness import Transform, generate_synthetic
 from adgm.models import (
+    _pair_values,
+    _segment_table,
     build_pairwise_a,
     build_pairwise_b,
     build_pairwise_c,
@@ -336,6 +340,65 @@ class TestModelC:
         inst = build_pairwise_c(rng.uniform(size=(6, 2)), rng.uniform(size=(6, 2)))
         values = inst.potentials[1].values
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
+
+
+def _row_major_pairwise(model, p, q):
+    """Model b's or c's pairwise indices and values at default parameters,
+    one entry per segment pair with the first set's segments major, each
+    set's segments ``i -> j`` in row-major ``(i, j)`` order."""
+    (s1, t1), (s2, t2) = (np.nonzero(~np.eye(len(x), dtype=bool)) for x in (p, q))
+    d1, u1 = _segment_table(p, s1, t1)
+    d2, u2 = _segment_table(q, s2, t2)
+    if model == "b":
+        values = np.exp(-np.abs(d1[:, None] - d2[None, :]) / 2500.0)
+    else:
+        delta, cos_alpha = _pair_values(d1, u1, d2, u2)
+        values = 0.5 * delta + 0.5 * (1.0 - cos_alpha) / 2.0
+    a = assignment_index(s1[:, None], s2[None, :], len(p))
+    b = assignment_index(t1[:, None], t2[None, :], len(p))
+    return np.stack([a.ravel(), b.ravel()], axis=1), values.ravel()
+
+
+class TestFullyConnectedBuild:
+    @pytest.mark.parametrize("model", ["b", "c"])
+    @pytest.mark.parametrize(
+        "n1, n2", [(1, 1), (1, 4), (4, 1), (2, 2), (2, 5), (5, 2), (6, 4), (7, 7)]
+    )
+    def test_entries_reach_the_tensor_in_canonical_order(self, monkeypatch, model, n1, n2):
+        rng = np.random.default_rng(10 * n1 + n2)
+        p, q = rng.uniform(size=(n1, 2)), rng.uniform(size=(n2, 2))
+        if n1 > 2 and n2 > 2:
+            # Coincident points: degenerate segments, and model c's exact zeros.
+            p[1] = p[0]
+            q[2] = q[1] = q[0]
+        sorts = []
+        sorted_runs = tensor_module._sorted_runs
+
+        def spy(key):
+            sorts.append(key)
+            return sorted_runs(key)
+
+        monkeypatch.setattr(tensor_module, "_sorted_runs", spy)
+        build = build_pairwise_b if model == "b" else build_pairwise_c
+        pair = build(p, q).potentials[1]
+        monkeypatch.undo()
+        assert sorts == []
+        indices, values = oracles.rowwise_canonicalize(2, *_row_major_pairwise(model, p, q))
+        assert pair.indices.tobytes() == indices.tobytes()
+        assert pair.values.tobytes() == values.tobytes()
+
+    def test_build_peaks_below_two_and_a_half_tensors(self):
+        # cli_pairwise's size: 20+5 points, a 228k-entry pairwise tensor.
+        p, q, _ = generate_synthetic(20, 5, 0.02, Transform(rotation=0.3), seed=1)
+        tracemalloc.start()
+        try:
+            inst = build_pairwise_c(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pair = inst.potentials[1]
+        assert pair.nnz == 228_000
+        assert peak < 2.5 * (pair.indices.nbytes + pair.values.nbytes)
 
 
 class TestThirdOrder:

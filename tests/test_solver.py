@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from adgm import solver
 from adgm.constraints import ConstraintSpec, as_vector, feasibility
 from adgm.discretize import brute_force_optimum
 from adgm.errors import ConfigurationError
-from adgm.harness import generate_synthetic
+from adgm.harness import Transform, generate_synthetic
 from adgm.models import build_pairwise_c, build_third_order
 from adgm.solver import (
     MatchingInstance,
@@ -370,6 +371,39 @@ def test_two_solves_of_one_instance_build_each_operator_once(monkeypatch):
             solve(instance, SolverConfig(variant=variant, max_iter=5))
         assert len(built) == expected
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("variant", [Variant.ADGM1, Variant.ADGM2])
+def test_a_model_c_solve_builds_one_operator(monkeypatch, variant):
+    p1, p2, _ = generate_synthetic(5, 2, 0.02, seed=3)
+    inst = build_pairwise_c(p1, p2)
+    pair = inst.potentials[1]
+    values = pair.values.copy()
+    values[0] = np.nextafter(values[0], np.inf)
+    nudged = SparseTensor(2, pair.dim, pair.indices, values)
+    nudged = replace(inst, potentials=(inst.potentials[0], nudged))
+    # The symmetric pairwise tensor shares one operator between its two
+    # modes; one ulp off symmetry, each mode builds its own.
+    for instance, expected in ((inst, 1), (nudged, 2)):
+        built = operator_builds(monkeypatch)
+        solve(instance, SolverConfig(variant=variant, max_iter=5))
+        assert len(built) == expected
+        monkeypatch.undo()
+
+
+def test_first_model_c_solve_peaks_below_one_and_a_half_tensors():
+    # cli_pairwise's size: 20+5 points, a 228k-entry pairwise tensor.
+    p1, p2, _ = generate_synthetic(20, 5, 0.02, Transform(rotation=0.3), seed=1)
+    inst = build_pairwise_c(p1, p2)
+    tracemalloc.start()
+    try:
+        solve(inst, SolverConfig(max_iter=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pair = inst.potentials[1]
+    assert pair.nnz == 228_000
+    assert peak < 1.5 * (pair.indices.nbytes + pair.values.nbytes)
 
 
 # -- adaptive penalty ----------------------------------------------------------

@@ -523,6 +523,51 @@ def test_both_operator_layouts_are_bit_equal_to_the_csr_reference(order, layout)
                 assert got.tobytes() == expected.tobytes()
 
 
+def _symmetric_pair_tensor(rng, dim, missing=None):
+    """An exactly symmetric order-2 tensor about 70% full, with every index
+    present, or every index but ``missing``."""
+    near = np.arange(dim)
+    mask = rng.random((dim, dim)) < 0.7
+    mask |= mask.T
+    mask[near, near] = True
+    grid = rng.normal(size=(dim, dim))
+    # The upper triangle and its mirror image, the same floats.
+    grid = np.where(near[:, None] <= near, grid, grid.T)
+    if missing is not None:
+        mask[missing, :] = mask[:, missing] = False
+    return SparseTensor(2, dim, np.argwhere(mask), grid[mask])
+
+
+@pytest.mark.parametrize(
+    "case, builds", [("symmetric", 1), ("one-ulp-off", 2), ("index-missing", 2)]
+)
+def test_symmetric_dense_order2_tensor_shares_one_operator(monkeypatch, case, builds):
+    # Both modes of an exactly symmetric order-2 tensor whose dense operator
+    # covers every index read one operator.  One ulp off symmetry, or with
+    # an index that no entry holds, each mode builds its own.
+    rng = np.random.default_rng(31)
+    for dim in (1, 2, 5, 9) if case == "symmetric" else (2, 5, 9):
+        t = _symmetric_pair_tensor(rng, dim, missing=dim - 1 if case == "index-missing" else None)
+        if case == "one-ulp-off":
+            values = t.values.copy()
+            k = int(np.flatnonzero(t.indices[:, 0] != t.indices[:, 1])[0])
+            values[k] = np.nextafter(values[k], np.inf)
+            t = SparseTensor(2, dim, t.indices, values)
+        built = operator_builds(monkeypatch)
+        for kind in ("zero", "signed-zero", "full", "non-finite"):
+            for open_mode in (1, 2):
+                work = _closed_vector(rng, dim, kind)
+                left, right = ([work], []) if open_mode == 2 else ([], [work])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = partial_contraction(t, open_mode, left, right)
+                    expected = oracles.per_mode_partial_contraction(t, open_mode, left, right)
+                assert got.tobytes() == expected.tobytes()
+        monkeypatch.undo()
+        assert len(built) == builds
+        assert isinstance(t._contract_cache[1][0], np.ndarray)
+        assert (t._contract_cache[1] is t._contract_cache[2]) == (builds == 1)
+
+
 @pytest.mark.parametrize("order, dim, nnz", [(3, 1100, 4000), (4, 110, 4000)])
 def test_pulls_beyond_the_old_cap_match_the_gather_reference(order, dim, nnz):
     # One column per possible closed-index combination would need
