@@ -281,16 +281,23 @@ def _nearest_targets(src_features, tgt_features, k):
     src_rows = []
     tgt_rows = []
     dist_rows = []
-    # Chunk the source side: the full distance table can be large.
+    # Chunk the source side: the full distance table can be large.  The
+    # chunk must stay as it is: a row of ``block @ tgt_features.T`` can
+    # differ in its last bit when the product has fewer rows (BLAS picks
+    # its kernel by shape), and a changed distance can change which targets
+    # are kept.
     chunk = max(1, int(2_000_000 // max(1, tgt_features.shape[0])))
     tgt_sq = (tgt_features**2).sum(axis=1)
     for lo in range(0, src_features.shape[0], chunk):
         block = src_features[lo : lo + chunk]
-        dists = (
-            (block**2).sum(axis=1)[:, None]
-            + tgt_sq[None, :]
-            - 2.0 * (block @ tgt_features.T)
-        )
+        # The bits of a + b - 2.0 * product, with one table fewer held and
+        # fewer passes over it.
+        dists = (block**2).sum(axis=1)[:, None] + tgt_sq[None, :]
+        product = block @ tgt_features.T
+        product *= 2.0
+        dists -= product
+        # Freed before the next chunk's tables are made.
+        del product
         np.maximum(dists, 0.0, out=dists)
         if k < dists.shape[1]:
             nearest = np.argpartition(dists, k - 1, axis=1)[:, :k]
@@ -304,6 +311,21 @@ def _nearest_targets(src_features, tgt_features, k):
         tgt_rows.append(cols)
         dist_rows.append(dists[rows - lo, cols])
     return np.concatenate(src_rows), np.concatenate(tgt_rows), np.concatenate(dist_rows)
+
+
+def _orbit_keys(columns, n):
+    """The int64 row keys ``(a * n + b) * n + c`` of every match under all
+    6 simultaneous vertex permutations of its three assignment ``columns``,
+    one block of rows per permutation: row r of a block is match r.
+    ``n**3`` fits int64, as no set whose triples can be listed reaches it."""
+    m = columns[0].shape[0]
+    keys = np.empty(6 * m, dtype=np.int64)
+    for block, (a, b, c) in zip(keys.reshape(6, m), permutations(columns)):
+        np.multiply(a, n, out=block)
+        block += b
+        block *= n
+        block += c
+    return keys
 
 
 def build_third_order(
@@ -369,20 +391,32 @@ def build_third_order(
         # All kept distances vanish: every kept match is a perfect one.
         values = np.ones_like(sq_dists)
 
-    # Each match under all 6 simultaneous vertex permutations, one block of
-    # rows per permutation, written in place.
-    perms = list(permutations(range(3)))
-    m = src_idx.shape[0]
-    indices = np.empty((len(perms), m, 3), dtype=np.int64)
-    for slot in range(3):
-        column = assignment_index(
-            source_triples[src_idx, slot], target_triples[tgt_idx, slot], n1
-        )
-        for block, perm in zip(indices, perms):
-            block[:, perm.index(slot)] = column
-    indices = indices.reshape(-1, 3)
-    all_values = np.tile(values, len(perms))
-    third = SparseTensor(3, n, indices, all_values)
+    keys = _orbit_keys(
+        [
+            assignment_index(source_triples[src_idx, slot], target_triples[tgt_idx, slot], n1)
+            for slot in range(3)
+        ],
+        n,
+    )
+    del src_idx, tgt_idx
+    m = values.shape[0]
+    # The rows are distinct: a row gives its source triple, sorted, and the
+    # targets paired with it, and a source's nearest targets are distinct.
+    # So one sort orders them canonically, and SparseTensor takes them as
+    # they come.  Key r is match r % m.
+    order = keys.argsort()
+    keys = keys.take(order)
+    order %= m
+    values = values.take(order)
+    del order
+    indices = np.empty((6 * m, 3), dtype=np.int64)
+    for mode in (2, 1):
+        np.remainder(keys, n, out=indices[:, mode])
+        keys //= n
+    indices[:, 0] = keys
+    del keys
+    indices.flags.writeable = values.flags.writeable = False
+    third = SparseTensor(3, n, indices, values)
     potentials = empty + (third,)
     return MatchingInstance(n1, n2, potentials, spec, Sense.MAXIMIZE, ground_truth)
 

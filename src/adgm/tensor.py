@@ -9,7 +9,11 @@ modes share a single dimension ``dim``.
 Tensors are stored in coordinate format (an ``(nnz, order)`` index array and
 a parallel value array) and are canonical by construction: indices sorted
 lexicographically, duplicate indices merged by summation, exact zeros
-dropped.  Instances are immutable.  ``partial_contraction`` caches, on
+dropped.  Instances are immutable: canonical input arrays that are
+read-only, own their memory and are C-contiguous are kept as given, since
+nothing can write to them, and any other input is copied.  A tensor built
+from another's arrays, such as ``symmetrize``'s of an order-1 tensor,
+shares them.  ``partial_contraction`` caches, on
 first use, one operator per open mode whose columns are the distinct
 closed-mode index rows that occur.  An operator at least half full is a
 dense ``(columns, dim)`` array, and a sparser one keeps its entries in
@@ -22,7 +26,8 @@ column, that every mode shares.  Its pull forms ``u (x) v + v (x) u`` only
 on the blocks' support ``S``, the indices where either is nonzero, and
 applies a plan of the entries in the columns of ``S x S``, cached for the
 last few supports.  Only the full support, which a solve's uniform start
-and non-finite blocks take, forms the dense ``dim**2`` work vector.
+and non-finite blocks take, forms the dense ``dim**2`` work vector, and it
+applies the whole half operator, with no plan.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ _PLANS = 8
 # Mixed-radix index keys run over [0, dim**order); int64 holds them while
 # dim**order is at most this.  Larger tensors sort their index rows as rows.
 _KEY_LIMIT = 1 << 63
+
+# Entries that a pass over a tensor's values reads at once where it walks
+# them in chunks, so that its temporaries stay a fraction of the tensor.
+_CHUNK = 1 << 15
 
 
 class SparseTensor:
@@ -217,15 +226,19 @@ class SparseTensor:
         row-major ``|support| x |support|`` grid of those columns.  Entries
         come in ascending column order, rows ascending inside a column.
 
-        Plans of the last ``_PLANS`` supports are cached; the full
-        support's, which is the uniform start of a solve, is not.
+        Plans of the last ``_PLANS`` supports are cached.  The full
+        support's, which is the uniform start of a solve, is the operator's
+        own ``rows`` and ``values`` and is not cached.
         """
+        starts, rows, values = self._half_operator()
+        m = support.size
+        if m == self.dim:
+            # Every column in order: the plan is the whole operator.
+            return rows, values, np.repeat(np.arange(m * m), np.diff(starts))
         plans = self._contract_cache["plans"]
         key = support.tobytes()
         plan = plans.pop(key, None)
         if plan is None:
-            starts, rows, values = self._half_operator()
-            m = support.size
             # Columns with b > c hold no entries, so the whole grid is taken.
             cols = (support[:, None] * self.dim + support).ravel()
             first = starts[cols]
@@ -234,8 +247,6 @@ class SparseTensor:
             offsets = np.repeat(first - np.cumsum(lens) + lens, lens)
             picked = np.arange(offsets.size) + offsets
             plan = rows[picked], values[picked], np.repeat(np.arange(m * m), lens)
-            if m == self.dim:
-                return plan
             if len(plans) == _PLANS:
                 del plans[next(iter(plans))]
         plans[key] = plan
@@ -246,7 +257,12 @@ def _canonicalize(order, dim, indices, values):
     """Sort lexicographically, merge duplicate indices, drop exact zeros.
 
     Rows already sorted and distinct, as in every tensor file this package
-    writes and every pairwise tensor models b and c build, skip the sort.
+    writes, every pairwise tensor models b and c build and every order-3
+    tensor ``build_third_order`` builds, skip the sort.  When none of their
+    values is zero, arrays that are read-only, own their memory and are
+    C-contiguous are stored as given, since nothing can write to them;
+    other arrays are copied.
+
     Other rows are sorted by their int64 keys with ``_sorted_runs``.  When
     they are distinct they are only permuted; when some repeat,
     ``np.bincount`` merges each run, adding its values in input order, so
@@ -267,6 +283,8 @@ def _canonicalize(order, dim, indices, values):
         # The keys go before the entries are copied, so both are never held.
         del key
         keep = values != 0.0
+        if keep.all():
+            return _stored(indices), _stored(values)
         return indices[keep], values[keep]
     runs = None if key is None else _sorted_runs(key)
     del key
@@ -280,6 +298,16 @@ def _canonicalize(order, dim, indices, values):
         keep = merged != 0.0
         rows, merged = rows[keep], merged[keep]
     return rows, merged
+
+
+def _stored(array):
+    """``array`` itself when nothing else can write to it: it is read-only,
+    owns its memory (no writable base behind it) and is C-contiguous.
+    Any other array is copied."""
+    flags = array.flags
+    if flags.owndata and not flags.writeable and flags.c_contiguous:
+        return array
+    return array.copy()
 
 
 def _unique_rows(order, dim, indices, runs=None):
@@ -343,18 +371,35 @@ def _is_supersymmetric(tensor):
     checks that swapping modes m and m+1 maps the stored index rows onto
     themselves and every value onto an equal one: the stored rows are
     sorted and distinct, so sorting the swapped rows must give them back.
-    ``dim**order`` must fit the int64 row keys, as it does for every
-    tensor _half_operator checks."""
-    order, dim = tensor.order, tensor.dim
+
+    Each swapped row's int64 key is packed with its row number as ``key *
+    nnz + row`` and the packed keys are sorted in place: the sorted keys
+    and the rows they came from, read back a chunk at a time, must be the
+    stored keys and values.  Where ``dim**order * nnz`` does not fit int64
+    it returns False; every tensor _half_operator checks fits, as ``dim <=
+    1024`` keeps the packed keys below ``2**60``."""
+    order, dim, nnz = tensor.order, tensor.dim, tensor.nnz
+    if order > 1 and dim**order * nnz > _KEY_LIMIT:
+        return False
     indices, values = tensor.indices, tensor.values
-    keys = _row_keys(order, dim, indices)
     for m in range(order - 1):
         modes = list(range(order))
         modes[m : m + 2] = m + 1, m
-        swapped = _row_keys(order, dim, indices, modes)
-        perm = np.argsort(swapped)
-        if not (np.array_equal(swapped[perm], keys) and np.array_equal(values[perm], values)):
-            return False
+        packed = _row_keys(order, dim, indices, modes)
+        packed *= nnz
+        for lo in range(0, nnz, _CHUNK):
+            packed[lo : lo + _CHUNK] += np.arange(lo, min(lo + _CHUNK, nnz))
+        packed.sort()
+        for lo in range(0, nnz, _CHUNK):
+            keys, rows = np.divmod(packed[lo : lo + _CHUNK], nnz)
+            stored = slice(lo, lo + keys.size)
+            if not (
+                np.array_equal(keys, _row_keys(order, dim, indices[stored]))
+                and np.array_equal(values.take(rows), values[stored])
+            ):
+                return False
+        # Freed before the next swap's keys are made.
+        del packed
     return True
 
 
@@ -388,9 +433,13 @@ def _half_entries(tensor):
     dim = tensor.dim
     x, y, z = tensor.indices.T
     keep = x <= y
-    values = np.where(x == y, 0.5 * tensor.values, tensor.values)[keep]
+    x, y, values = x[keep], y[keep], tensor.values[keep]
+    # In place, 0.5 * v has the bits of v * 0.5.
+    np.multiply(values, 0.5, out=values, where=x == y)
+    x *= dim
+    x += y
     starts = np.zeros(dim**2 + 1, dtype=np.intp)
-    np.cumsum(np.bincount(x[keep] * dim + y[keep], minlength=dim**2), out=starts[1:])
+    np.cumsum(np.bincount(x, minlength=dim**2), out=starts[1:])
     return starts, z[keep].astype(np.intp, copy=False), values
 
 
@@ -410,9 +459,13 @@ def multilinear_form(tensor, vectors):
             raise ValueError(f"vectors must have shape ({tensor.dim},)")
     if tensor.nnz == 0:
         return 0.0
+    # Each entry's product is taken in mode order, a chunk at a time, so
+    # only one values-sized buffer is held; one sum adds them all.
     factor = tensor.values.copy()
-    for m, v in enumerate(vectors):
-        factor *= v[tensor.indices[:, m]]
+    for lo in range(0, tensor.nnz, _CHUNK):
+        part = factor[lo : lo + _CHUNK]
+        for m, v in enumerate(vectors):
+            part *= v[tensor.indices[lo : lo + _CHUNK, m]]
     return float(factor.sum())
 
 

@@ -108,6 +108,31 @@ def gather_partial_contraction(tensor, open_mode, left, right):
     )
 
 
+def argsort_is_supersymmetric(tensor):
+    """The symmetry check by argsort: for each swap of adjacent modes, the
+    swapped rows' keys, put in order by an argsort permutation, must be
+    the stored rows' keys, and that permutation must carry every stored
+    value onto an equal one.  A row's key is its row-major ravelled index
+    into the dense ``dim**order`` grid."""
+    order, dim = tensor.order, tensor.dim
+    if order < 2:
+        return True
+    shape = (dim,) * order
+    columns = list(tensor.indices.T)
+    keys = np.ravel_multi_index(columns, shape)
+    for m in range(order - 1):
+        swapped_columns = list(columns)
+        swapped_columns[m : m + 2] = columns[m + 1], columns[m]
+        swapped = np.ravel_multi_index(swapped_columns, shape)
+        perm = np.argsort(swapped)
+        if not (
+            np.array_equal(swapped[perm], keys)
+            and np.array_equal(tensor.values[perm], tensor.values)
+        ):
+            return False
+    return True
+
+
 def dense_symmetrize(dense):
     """Average of a dense tensor over every permutation of its axes."""
     perms = list(itertools.permutations(range(dense.ndim)))

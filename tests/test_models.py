@@ -16,6 +16,7 @@ from adgm.harness import Transform, generate_synthetic
 from adgm.models import (
     _pair_values,
     _segment_table,
+    _triangle_features,
     build_pairwise_a,
     build_pairwise_b,
     build_pairwise_c,
@@ -401,7 +402,87 @@ class TestFullyConnectedBuild:
         assert peak < 2.5 * (pair.indices.nbytes + pair.values.nbytes)
 
 
+def _permuted_blocks(p, q, knn=300, triangle_budget=5000, gamma=None, seed=None):
+    """build_third_order's entries before canonicalization: the kept
+    matches' rows under each of the 6 simultaneous vertex permutations,
+    one block per permutation, and the match values tiled to match.  The
+    nearest targets are read from one whole distance table, which takes
+    the builder's GEMM while its sources fit one chunk of it."""
+    n1 = len(p)
+    sources = np.array(list(combinations(range(n1), 3)))
+    if len(sources) > triangle_budget:
+        chosen = np.random.default_rng(seed).choice(len(sources), triangle_budget, replace=False)
+        sources = sources[np.sort(chosen)]
+    targets = np.array(list(permutations(range(len(q)), 3)))
+    f1, keep1 = _triangle_features(p, sources)
+    f2, keep2 = _triangle_features(q, targets)
+    (sources, f1), (targets, f2) = (sources[keep1], f1[keep1]), (targets[keep2], f2[keep2])
+    assert len(sources) <= 2_000_000 // len(targets)
+    dists = (f1**2).sum(axis=1)[:, None] + (f2**2).sum(axis=1)[None, :] - 2.0 * (f1 @ f2.T)
+    np.maximum(dists, 0.0, out=dists)
+    k = min(knn, len(targets))
+    nearest = np.argpartition(dists, k - 1, axis=1)[:, :k] if k < len(targets) else (
+        np.broadcast_to(np.arange(len(targets)), dists.shape)
+    )
+    src, tgt = np.repeat(np.arange(len(sources)), k), nearest.ravel()
+    sq = dists[src, tgt]
+    gamma = float(sq.mean()) if gamma is None else gamma
+    values = np.exp(-sq / gamma) if gamma > 0.0 else np.ones_like(sq)
+    columns = [assignment_index(sources[src, s], targets[tgt, s], n1) for s in range(3)]
+    blocks = [np.stack([columns[s] for s in perm], axis=1) for perm in permutations(range(3))]
+    return np.concatenate(blocks), np.tile(values, 6)
+
+
+def _third_order_case(case):
+    """Point sets and build_third_order parameters of one named case."""
+    rng = np.random.default_rng(len(case))
+    if case == "10+5":
+        # third_order's size: a table of 120 x 2730 distances.
+        p, q, _ = generate_synthetic(10, 5, 0.02, Transform(rotation=0.3), seed=1)
+        return p, q, dict(knn=300, triangle_budget=5000, seed=1)
+    p, q = rng.uniform(size=(7, 2)), rng.uniform(size=(6, 2))
+    if case == "coincident":
+        p[3] = p[0]
+        q[2] = q[1] = q[0]
+        return p, q, dict(knn=40)
+    if case == "collinear":
+        p[:4] = np.column_stack((np.arange(4.0), np.zeros(4)))
+        return p, q, dict(knn=40)
+    if case == "knn-at-or-above-the-targets":
+        return p, q, dict(knn=6 * 5 * 4)
+    if case == "sampled":
+        return rng.uniform(size=(12, 2)), q, dict(knn=30, triangle_budget=40, seed=5)
+    # exp(-d / gamma) underflows to 0.0 for all but the nearest matches.
+    return p, q, dict(knn=60, gamma=1e-4)
+
+
 class TestThirdOrder:
+    @pytest.mark.parametrize(
+        "case",
+        ["10+5", "coincident", "collinear", "knn-at-or-above-the-targets", "sampled", "tiny-gamma"],
+    )
+    def test_entries_reach_the_tensor_in_canonical_order(self, monkeypatch, case):
+        p, q, params = _third_order_case(case)
+        sorts = []
+        sorted_runs = tensor_module._sorted_runs
+
+        def spy(key):
+            sorts.append(key)
+            return sorted_runs(key)
+
+        monkeypatch.setattr(tensor_module, "_sorted_runs", spy)
+        third = build_third_order(p, q, **params).potentials[2]
+        monkeypatch.undo()
+        assert sorts == []
+        blocks, tiled = _permuted_blocks(p, q, **params)
+        indices, values = oracles.rowwise_canonicalize(3, blocks, tiled)
+        assert third.indices.tobytes() == indices.tobytes()
+        assert third.values.tobytes() == values.tobytes()
+        assert third.nnz == np.count_nonzero(tiled) > 0
+        assert (third.nnz < tiled.size) == (case == "tiny-gamma")
+        for array in (third.indices, third.values):
+            assert array.flags.owndata and not array.flags.writeable
+
     def test_congruent_triangles_score_one(self):
         p = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]])
         theta = 0.8
@@ -485,7 +566,7 @@ class TestThirdOrder:
         second = build_third_order(p, q, triangle_budget=10, seed=99)
         assert first.potentials[2] == second.potentials[2]
 
-    def test_build_peaks_below_three_and_a_half_times_the_instance(self):
+    def test_build_peaks_below_one_and_a_half_times_the_instance(self):
         # 10+5 points: 36k kept matches, a 216k-entry order-3 tensor.
         p, q, _ = generate_synthetic(10, 5, 0.02, Transform(rotation=0.3), seed=1)
         tracemalloc.start()
@@ -496,7 +577,7 @@ class TestThirdOrder:
             tracemalloc.stop()
         assert inst.potentials[2].nnz == 216_000
         kept = sum(t.indices.nbytes + t.values.nbytes for t in inst.potentials)
-        assert peak < 3.5 * kept
+        assert peak < 1.5 * kept
 
     def test_parameter_validation(self):
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -406,6 +406,22 @@ def test_first_model_c_solve_peaks_below_one_and_a_half_tensors():
     assert peak < 1.5 * (pair.indices.nbytes + pair.values.nbytes)
 
 
+def test_first_third_order_solve_peaks_below_four_fifths_of_the_tensor():
+    # third_order's size: 10+5 points, a 216k-entry order-3 tensor.  The
+    # first solve checks the tensor's symmetry and builds its half operator.
+    p1, p2, _ = generate_synthetic(10, 5, 0.02, Transform(rotation=0.3), seed=1)
+    inst = build_third_order(p1, p2, knn=300, triangle_budget=5000, seed=1)
+    tracemalloc.start()
+    try:
+        solve(inst, SolverConfig(max_iter=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    third = inst.potentials[2]
+    assert third.nnz == 216_000
+    assert peak < 0.8 * (third.indices.nbytes + third.values.nbytes)
+
+
 # -- adaptive penalty ----------------------------------------------------------
 
 
@@ -635,6 +651,20 @@ def test_to_minimization_equal_entries_become_zero():
     converted, v_max = to_minimization(inst)
     assert v_max == 2.0
     assert converted.potentials[0].nnz == 0  # all entries cancel to zero
+
+
+def test_to_minimization_shares_the_indices_of_entries_it_keeps():
+    spec = ConstraintSpec(2, 2)
+    unary = SparseTensor(1, 4, [[0], [2], [3]], [1.0, 2.0, 0.5])
+    pair = SparseTensor(2, 4, [[0, 3], [1, 2]], [4.0, 1.0])
+    inst = MatchingInstance(2, 2, (unary, pair), spec, Sense.MAXIMIZE)
+    converted, v_max = to_minimization(inst)
+    assert v_max == 4.0
+    # No unary entry becomes zero, so its canonical, read-only indices are
+    # taken as they are; the pairwise maximum becomes zero and is dropped.
+    assert converted.potentials[0].indices is unary.indices
+    assert dict(converted.potentials[0].items()) == {(0,): 3.0, (2,): 2.0, (3,): 3.5}
+    assert dict(converted.potentials[1].items()) == {(1, 2): 3.0}
 
 
 def test_to_minimization_warns_on_minimize():

@@ -9,6 +9,8 @@ import oracles
 from helpers import operator_builds, random_sparse_tensor
 
 from adgm import tensor as tensor_module
+from adgm.harness import Transform, generate_synthetic
+from adgm.models import build_third_order
 from adgm.tensor import (
     SparseTensor,
     _is_supersymmetric,
@@ -307,6 +309,90 @@ def test_input_that_needs_the_sort_keys_its_rows_once(monkeypatch, indices):
     _assert_same_arrays(t, *oracles.rowwise_canonicalize(2, indices, [1.0, 2.0, 3.0]))
 
 
+# -- hand-over of canonical arrays ----------------------------------------
+
+
+def _canonical_order3(rng, dim=9, nnz=60):
+    """Sorted, distinct order-3 rows and nonzero values, in fresh arrays."""
+    keys = np.sort(rng.choice(dim**3, size=nnz, replace=False))
+    indices = np.stack(np.unravel_index(keys, (dim,) * 3), axis=1).astype(np.int64)
+    return indices, rng.normal(size=nnz)
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def test_read_only_owning_canonical_arrays_are_stored_as_given():
+    indices, values = _read_only(*_canonical_order3(np.random.default_rng(30)))
+    before = indices.tobytes(), values.tobytes()
+    tensor = SparseTensor(3, 9, indices, values)
+    assert tensor.indices is indices and tensor.values is values
+    assert (indices.tobytes(), values.tobytes()) == before
+    # A tensor built from another's arrays shares them too.
+    again = SparseTensor(3, 9, tensor.indices, tensor.values)
+    assert again.indices is indices and again.values is values
+
+
+@pytest.mark.parametrize("kind", ["read-only-view", "non-contiguous", "writable", "zero-value"])
+def test_other_canonical_arrays_are_copied(kind):
+    rng = np.random.default_rng(31)
+    indices, values = _canonical_order3(rng)
+    if kind == "zero-value":
+        values[[4, 17]] = 0.0, -0.0
+    expected = oracles.rowwise_canonicalize(3, indices, values)
+    if kind == "read-only-view":
+        # Read-only views of writable arrays, which can still change them.
+        indices, values = _read_only(indices[:], values[:])
+    elif kind == "non-contiguous":
+        wide = np.zeros((values.size, 2))
+        wide[:, 0] = values
+        indices, values = _read_only(np.asfortranarray(indices), wide[:, 0])
+    elif kind == "zero-value":
+        _read_only(indices, values)
+    before = indices.tobytes(), values.tobytes()
+    tensor = SparseTensor(3, 9, indices, values)
+    _assert_same_arrays(tensor, *expected)
+    assert not np.shares_memory(tensor.indices, indices)
+    assert not np.shares_memory(tensor.values, values)
+    assert (indices.tobytes(), values.tobytes()) == before
+    assert tensor.indices.flags.c_contiguous and tensor.values.flags.c_contiguous
+    assert not (tensor.indices.flags.writeable or tensor.values.flags.writeable)
+
+
+def test_read_only_input_that_needs_the_sort_is_left_untouched(monkeypatch):
+    rng = np.random.default_rng(32)
+    indices, values = _canonical_order3(rng)
+    perm = rng.permutation(values.size)
+    indices, values = _read_only(indices[perm], values[perm])
+    before = indices.tobytes(), values.tobytes()
+    sorts = []
+    sorted_runs = tensor_module._sorted_runs
+
+    def spy(key):
+        sorts.append(key)
+        return sorted_runs(key)
+
+    monkeypatch.setattr(tensor_module, "_sorted_runs", spy)
+    tensor = SparseTensor(3, 9, indices, values)
+    monkeypatch.undo()
+    assert len(sorts) == 1
+    _assert_same_arrays(tensor, *oracles.rowwise_canonicalize(3, indices, values))
+    assert (indices.tobytes(), values.tobytes()) == before
+    assert not (indices.flags.writeable or values.flags.writeable)
+    assert not np.shares_memory(tensor.indices, indices)
+    assert not np.shares_memory(tensor.values, values)
+
+
+def test_symmetrize_of_an_order1_tensor_shares_its_arrays():
+    t = random_sparse_tensor(np.random.default_rng(33), 1, 12, nnz=8)
+    averaged = symmetrize(t)
+    assert averaged == t
+    assert averaged.indices is t.indices and averaged.values is t.values
+
+
 # -- multilinear form ----------------------------------------------------
 
 
@@ -349,6 +435,25 @@ def test_form_is_multilinear():
         assert at(alpha * u + v) == pytest.approx(
             alpha * at(u) + at(v), rel=1e-12, abs=1e-12
         )
+
+
+@pytest.fixture(scope="module")
+def third_order_tensor():
+    """third_order's size: 10+5 points, a 216k-entry order-3 tensor."""
+    p, q, _ = generate_synthetic(10, 5, 0.02, Transform(rotation=0.3), seed=1)
+    return build_third_order(p, q, knn=300, triangle_budget=5000, seed=1).potentials[2]
+
+
+def test_form_peaks_below_one_and_a_half_times_the_values(third_order_tensor):
+    t = third_order_tensor
+    x = np.full(t.dim, 0.2)
+    form, peak = _traced_peak(lambda: multilinear_form(t, [x] * 3))
+    assert t.nnz == 216_000
+    expected = t.values.copy()
+    for m in range(3):
+        expected *= x[t.indices[:, m]]
+    assert form == float(expected.sum())
+    assert peak < 1.5 * t.values.nbytes
 
 
 def test_form_validates_arguments():
@@ -794,6 +899,24 @@ def test_non_finite_blocks_take_the_full_support(special):
         assert list(t._contract_cache["plans"]) == cached
 
 
+def test_full_support_pull_applies_the_whole_operator():
+    rng = np.random.default_rng(85)
+    dim = 20
+    t = symmetrize(random_sparse_tensor(rng, 3, dim, nnz=dim**3 // 2))
+    _pull_every_mode(t, *_blocks_on(rng, dim, np.array([2, 5, 11])))
+    plans = list(t._contract_cache["plans"].items())
+    # A solve's uniform start.
+    uniform = np.full(dim, 1.0 / dim)
+    _pull_every_mode(t, uniform, uniform)
+    after = list(t._contract_cache["plans"].items())
+    assert [key for key, _ in after] == [key for key, _ in plans]
+    assert all(new is old for (_, new), (_, old) in zip(after, plans))
+    starts, rows, values = t._half_operator()
+    plan = t._support_plan(np.arange(dim))
+    assert plan[0] is rows and plan[1] is values
+    assert np.array_equal(plan[2], np.repeat(np.arange(dim**2), np.diff(starts)))
+
+
 def _off_symmetry(rng, dim, kind):
     t = _orbit_tensor(rng, dim)
     # A row with two distinct indices has a permuted copy that differs.
@@ -843,6 +966,64 @@ def test_symmetry_check_finds_a_missing_copy_and_a_one_ulp_change():
     assert _is_supersymmetric(_orbit_tensor(rng, 7))
     for kind in ("missing-copy", "one-ulp-off"):
         assert not _is_supersymmetric(_off_symmetry(rng, 7, kind))
+
+
+def _diagonal_tensor(rng, dim, nudge):
+    """Supersymmetric order-3 tensor whose rows all repeat an index, the
+    ``b == c`` rows among them; with ``nudge``, one ``b == c`` row with
+    ``a != b`` is one ulp off its permuted copies."""
+    entries = {}
+    for a, b in rng.integers(0, dim, size=(6, 2)):
+        value = float(rng.normal())
+        for perm in set(permutations((int(a), int(b), int(b)))):
+            entries[perm] = value
+    t = SparseTensor.from_entries(3, dim, entries)
+    a, b, c = t.indices.T
+    off = np.flatnonzero((b == c) & (a != b))
+    if not nudge or off.size == 0:
+        return t
+    values = t.values.copy()
+    values[off[0]] = np.nextafter(values[off[0]], np.inf)
+    return SparseTensor(3, dim, t.indices, values)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_symmetry_check_agrees_with_the_argsort_reference(dim):
+    rng = np.random.default_rng(90 + dim)
+    cases = []
+    for _ in range(10):
+        cases += [
+            _orbit_tensor(rng, dim),
+            _off_symmetry(rng, dim, "missing-copy"),
+            _off_symmetry(rng, dim, "one-ulp-off"),
+            _diagonal_tensor(rng, dim, nudge=False),
+            _diagonal_tensor(rng, dim, nudge=True),
+            symmetrize(random_sparse_tensor(rng, 3, dim)),
+            random_sparse_tensor(rng, 3, dim),
+            symmetrize(random_sparse_tensor(rng, 2, dim)),
+            symmetrize(random_sparse_tensor(rng, 4, dim)),
+            random_sparse_tensor(rng, 4, dim),
+        ]
+    verdicts = [_is_supersymmetric(t) for t in cases]
+    assert verdicts == [oracles.argsort_is_supersymmetric(t) for t in cases]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_symmetry_check_refuses_packed_keys_beyond_int64(monkeypatch):
+    rng = np.random.default_rng(15)
+    dim = 6
+    t = _orbit_tensor(rng, dim)
+    monkeypatch.setattr(tensor_module, "_KEY_LIMIT", dim**3 * t.nnz)
+    assert _is_supersymmetric(t)
+    monkeypatch.setattr(tensor_module, "_KEY_LIMIT", dim**3 * t.nnz - 1)
+    assert not _is_supersymmetric(t)
+
+
+def test_symmetry_check_peaks_below_half_the_tensor(third_order_tensor):
+    t = third_order_tensor
+    symmetric, peak = _traced_peak(lambda: _is_supersymmetric(t))
+    assert symmetric
+    assert peak < 0.5 * (t.indices.nbytes + t.values.nbytes)
 
 
 def test_symmetry_is_checked_once_per_tensor(monkeypatch):
