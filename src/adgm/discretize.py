@@ -154,29 +154,28 @@ def _candidate_batches(spec, batch):
                 yield assignment_index(both[:, :k], both[:, k:], n1)
 
 
-def _batch_energies(potentials, x, gathered, factors):
+def _batch_energies(entries, x, gathered, factors):
     """``energy`` of each row of the 0/1 matrix ``x``, with the same
     operations in the same order, so every value is bit-identical.
 
-    ``gathered`` and ``factors`` are flat float buffers of at least
-    ``x.shape[0]`` times the largest ``nnz`` entries, which the products
-    are written into instead of new arrays."""
+    ``entries`` holds the ``(indices, values)`` of each potential that
+    stores any.  ``gathered`` and ``factors`` are flat float buffers of at
+    least ``x.shape[0]`` times the largest ``nnz`` entries, which the
+    products are written into instead of new arrays."""
     # energy adds each tensor's float to an int 0.  The total is never
     # -0.0, so the 0.0 of an empty tensor can be skipped.
     total = np.zeros(x.shape[0])
-    for tensor in potentials:
-        if tensor.nnz == 0:
-            continue
-        size = x.shape[0] * tensor.nnz
-        gather = gathered[:size].reshape(x.shape[0], tensor.nnz)
-        factor = factors[:size].reshape(x.shape[0], tensor.nnz)
+    for indices, values in entries:
+        size = x.shape[0] * values.size
+        gather = gathered[:size].reshape(x.shape[0], values.size)
+        factor = factors[:size].reshape(x.shape[0], values.size)
         # take keeps factor C-ordered, so each row is summed pairwise like
         # multilinear_form's 1-D sum (x[:, idx] would be F-ordered).  The
         # indices are in range; "clip" spares take a buffered copy of out.
-        x.take(tensor.indices[:, 0], axis=1, out=gather, mode="clip")
-        np.multiply(tensor.values, gather, out=factor)
-        for m in range(1, tensor.order):
-            x.take(tensor.indices[:, m], axis=1, out=gather, mode="clip")
+        x.take(indices[:, 0], axis=1, out=gather, mode="clip")
+        np.multiply(values, gather, out=factor)
+        for m in range(1, indices.shape[1]):
+            x.take(indices[:, m], axis=1, out=gather, mode="clip")
             factor *= gather
         total += factor.sum(axis=1)
     return total
@@ -230,11 +229,13 @@ def brute_force_optimum(instance, limits=None):
     # Allocated once: a process whose allocator returns each freed batch
     # temporary to the system faults its pages in again on every batch.
     gathered, factors = np.empty(batch * widest), np.empty(batch * widest)
+    # A tensor held as a dense array makes its entries on each access.
+    entries = [(t.indices, t.values) for t in instance.potentials if t.nnz]
     best_score = best_vec = best_energy = None
     for selected in _candidate_batches(spec, batch):
         x = np.zeros((selected.shape[0], n))
         x[np.arange(selected.shape[0])[:, None], selected] = 1.0
-        values = _batch_energies(instance.potentials, x, gathered, factors)
+        values = _batch_energies(entries, x, gathered, factors)
         scores = -values if maximize else values
         score = scores.min()
         tied = np.flatnonzero(scores == score)

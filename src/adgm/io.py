@@ -85,26 +85,37 @@ def _row_chunks(columns):
     rows = len(columns[0]) if columns else 0
     if rows == 0:
         return
-    formats = [_field_format(c) for c in columns]
+    formats = [
+        _float_texts if c.dtype.kind == "f" else _int_format(int(c.min()), int(c.max()), c.size)
+        for c in columns
+    ]
     for start in range(0, rows, _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
-        # The fields go as soon as their lines are joined.
-        yield list(map(" ".join, zip(*[fmt(c[part]) for fmt, c in zip(formats, columns)])))
+        yield _lines(formats, [c[part] for c in columns])
 
 
-def _field_format(column):
-    """A function from a slice of the non-empty 1-D array ``column`` to the
-    texts of its fields: ``repr`` of each float, ``str`` of each integer.
+def _lines(formats, columns):
+    """The lines of the equal-length 1-D arrays ``columns``, each field
+    written by its function in ``formats``.  The fields go as soon as their
+    lines are joined."""
+    return list(map(" ".join, zip(*[fmt(c) for fmt, c in zip(formats, columns)])))
 
-    An integer column that spans no more values than it has rows, as a
-    tensor's index column does once it stores more entries than its dim,
-    reads its texts from a table of ``str`` of each value it spans, made
-    once: no int and no str is made per field.  A wider column keeps
-    ``str`` per field, so the table is never larger than the column."""
-    if column.dtype.kind == "f":
-        return lambda part: list(map(repr, part.tolist()))
-    low, high = int(column.min()), int(column.max())
-    if high - low >= column.size:
+
+def _float_texts(part):
+    """``repr`` of each float of the 1-D array ``part``."""
+    return list(map(repr, part.tolist()))
+
+
+def _int_format(low, high, size):
+    """A function from a slice of a 1-D integer array of ``size`` values in
+    ``[low, high]`` to the ``str`` of each of its fields.
+
+    When the range holds no more values than the array, as a tensor's index
+    column does once it stores more entries than its dim, the texts come
+    from a table of ``str`` of each value in it, made once: no int and no
+    str is made per field.  A wider range keeps ``str`` per field, so the
+    table is never larger than the array."""
+    if high - low >= size:
         return lambda part: list(map(str, part.tolist()))
     texts = np.array([str(i) for i in range(low, high + 1)], dtype=object)
     return lambda part: texts.take(part - low).tolist()
@@ -214,9 +225,14 @@ def read_unary(path):
 
 
 def _tensor_chunks(tensor):
-    """The lines of tensor_to_lines, in lists of at most ``_CHUNK_ROWS``."""
+    """The lines of tensor_to_lines, in lists of at most ``_CHUNK_ROWS``
+    (or one row of a tensor held as a dense array), made from the entries a
+    chunk at a time."""
     yield [f"order {tensor.order} dim {tensor.dim}"]
-    for lines in _row_chunks([*tensor.indices.T, tensor.values]):
+    # Every index lies in [0, dim).
+    formats = [_int_format(0, tensor.dim - 1, tensor.nnz)] * tensor.order + [_float_texts]
+    for columns, values in tensor._entry_chunks(_CHUNK_ROWS):
+        lines = _lines(formats, [*columns, values])
         # An order-0 entry keeps the space that follows the indices it lacks.
         yield [" " + line for line in lines] if tensor.order == 0 else lines
 

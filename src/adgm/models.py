@@ -84,11 +84,19 @@ def _segment_table(points, sources, targets):
 def _pair_values(d1, u1, d2, u2):
     """delta and cos_alpha (see pair_geometry) for every segment of set 1
     against every segment of set 2."""
+    return _pair_terms(d1, d2, u1 @ u2.T)
+
+
+def _pair_terms(d1, d2, dots):
+    """delta and cos_alpha of the segments of lengths ``d1`` against those
+    of lengths ``d2``, given the dot products ``dots`` of their unit
+    vectors.  Every operation is elementwise, so rows of the result are
+    the result for rows of ``d1`` and ``dots``."""
     sums = d1[:, None] + d2[None, :]
     diffs = np.abs(d1[:, None] - d2[None, :])
     both_degenerate = sums < _DEGENERATE_LENGTH
     delta = np.where(both_degenerate, 0.0, diffs / np.where(both_degenerate, 1.0, sums))
-    cos_alpha = np.clip(u1 @ u2.T, -1.0, 1.0)
+    cos_alpha = np.clip(dots, -1.0, 1.0)
     any_degenerate = (d1 < _DEGENERATE_LENGTH)[:, None] | (
         d2 < _DEGENERATE_LENGTH
     )[None, :]
@@ -195,32 +203,42 @@ def build_pairwise_a(
     )
 
 
-def _fully_connected(points1, points2, spec, sense, ground_truth, score):
+def _fully_connected(points1, points2, spec, sense, ground_truth, score, directions=False):
     """Instance with one pairwise entry per ordered node pair of each set,
-    valued ``score(d1, u1, d2, u2)`` over their segment tables (see
-    _segment_table); unaries zero.
+    valued ``score(d1, d2, dots)`` over the lengths of the segments of a
+    block of set 1 and of all of set 2 (see _segment_table) and, with
+    ``directions``, the dot products of their unit vectors (None
+    otherwise); unaries zero.
 
     The entry of segments ``i1 -> j1`` and ``i2 -> j2`` has the indices
-    ``(i2 * n1 + i1, j2 * n1 + j1)``, so ordering the entries by ``(i2, i1,
-    j2, j1)`` sorts them: the tensor is handed its entries in canonical
-    order and takes no sort."""
+    ``(i2 * n1 + i1, j2 * n1 + j1)``.  The scores are written straight
+    into the pairwise tensor's dense array, a block of the segments that
+    leave one point of set 1 at a time, and the tensor takes that array."""
     pts1 = _as_points(points1)
     pts2 = _as_points(points2)
     n1, n2 = pts1.shape[0], pts2.shape[0]
     spec = _resolve_spec(spec, n1, n2)
     s1, t1 = _directed_pairs(n1)
     s2, t2 = _directed_pairs(n2)
-    grid = score(*_segment_table(pts1, s1, t1), *_segment_table(pts2, s2, t2))
+    d1, u1 = _segment_table(pts1, s1, t1)
+    d2, u2 = _segment_table(pts2, s2, t2)
+    # One product for every pair: a product taken a block of rows at a time
+    # can round some rows apart from it.
+    dots = u1 @ u2.T if directions else None
     # Segment k = i * (n - 1) + j' of a set runs from i to its j'-th other
-    # point, so the score grid reads (i1, j1', i2, j2').
-    values = np.ascontiguousarray(grid.reshape(n1, n1 - 1, n2, n2 - 1).transpose(2, 0, 3, 1))
-    del grid
-    i1, i2 = np.arange(n1)[:, None, None], np.arange(n2)[:, None, None, None]
-    j1, j2 = t1.reshape(n1, n1 - 1)[:, None], t2.reshape(n2, n2 - 1)[:, None, :, None]
-    indices = np.empty(values.shape + (2,), dtype=np.int64)
-    indices[..., 0] = assignment_index(i1, i2, n1)
-    indices[..., 1] = assignment_index(j1, j2, n1)
-    pairwise = SparseTensor(2, n1 * n2, indices.reshape(-1, 2), values.ravel())
+    # point, so a block's scores read (j1', i2, j2') and land on the cells
+    # (i2 * n1 + i1, j2 * n1 + j1) of the array read as (i2, i1, j2, j1).
+    dense = np.zeros((n1 * n2, n1 * n2))
+    cells = dense.reshape(n2, n1, n2, n1)
+    i2 = np.arange(n2)[:, None]
+    j1s, j2 = t1.reshape(n1, n1 - 1), t2.reshape(n2, n2 - 1)
+    for i1, j1 in enumerate(j1s):
+        block = slice(i1 * (n1 - 1), (i1 + 1) * (n1 - 1))
+        values = score(d1[block], d2, None if dots is None else dots[block])
+        cells[i2, i1, j2, j1[:, None, None]] = values.reshape(n1 - 1, n2, n2 - 1)
+    # No writable view of the array outlives its hand-over.
+    del cells
+    pairwise = SparseTensor._from_dense(dense)
     potentials = (SparseTensor.empty(1, n1 * n2), pairwise)
     return MatchingInstance(n1, n2, potentials, spec, sense, ground_truth)
 
@@ -230,7 +248,7 @@ def build_pairwise_b(points1, points2, sigma2=2500.0, spec=None, ground_truth=No
     ``exp(-|d1 - d2| / sigma2)`` for every ordered node pair of each set;
     unaries zero."""
 
-    def score(d1, u1, d2, u2):
+    def score(d1, d2, dots):
         return np.exp(-np.abs(d1[:, None] - d2[None, :]) / sigma2)
 
     return _fully_connected(points1, points2, spec, Sense.MAXIMIZE, ground_truth, score)
@@ -240,11 +258,13 @@ def build_pairwise_c(points1, points2, eta=0.5, spec=None, ground_truth=None):
     """Fully connected length + direction dissimilarity (minimization):
     ``eta * delta + (1 - eta) * (1 - cos_alpha) / 2``; unaries zero."""
 
-    def score(d1, u1, d2, u2):
-        delta, cos_alpha = _pair_values(d1, u1, d2, u2)
+    def score(d1, d2, dots):
+        delta, cos_alpha = _pair_terms(d1, d2, dots)
         return eta * delta + (1.0 - eta) * (1.0 - cos_alpha) / 2.0
 
-    return _fully_connected(points1, points2, spec, Sense.MINIMIZE, ground_truth, score)
+    return _fully_connected(
+        points1, points2, spec, Sense.MINIMIZE, ground_truth, score, directions=True
+    )
 
 
 def _triangle_features(points, triples):
@@ -405,16 +425,26 @@ def build_third_order(
     # So one sort orders them canonically, and SparseTensor takes them as
     # they come.  Key r is match r % m.
     order = keys.argsort()
-    keys = keys.take(order)
+    # Distinct keys sorted in place are keys.take(order).
+    keys.sort()
     order %= m
-    values = values.take(order)
-    del order
+    # Held in the narrowest type until the values are gathered, after the
+    # keys are decoded and freed.
+    order = order.astype(np.min_scalar_type(m))
     indices = np.empty((6 * m, 3), dtype=np.int64)
     for mode in (2, 1):
         np.remainder(keys, n, out=indices[:, mode])
         keys //= n
     indices[:, 0] = keys
     del keys
+    # Gathered a block at a time, since take widens a narrow index array to
+    # intp.  The indices are in range; "clip" spares take a buffered out.
+    gathered = np.empty(order.size)
+    for lo in range(0, order.size, 1 << 15):
+        part = slice(lo, lo + (1 << 15))
+        values.take(order[part], out=gathered[part], mode="clip")
+    values = gathered
+    del order, gathered
     indices.flags.writeable = values.flags.writeable = False
     third = SparseTensor(3, n, indices, values)
     potentials = empty + (third,)

@@ -1,4 +1,4 @@
-"""Sparse coordinate tensors over assignment vectors.
+"""Sparse tensors over assignment vectors.
 
 A matching problem between two point sets is scored by potentials of
 increasing order: an order-1 tensor holds unary scores, an order-2 tensor
@@ -6,27 +6,33 @@ pairwise scores, an order-3 tensor triple scores, and so on.  Every mode of
 such a tensor indexes the same flat space of candidate assignments, so all
 modes share a single dimension ``dim``.
 
-Tensors are stored in coordinate format (an ``(nnz, order)`` index array and
-a parallel value array) and are canonical by construction: indices sorted
+A tensor's entries are canonical by construction: indices sorted
 lexicographically, duplicate indices merged by summation, exact zeros
-dropped.  Instances are immutable: canonical input arrays that are
-read-only, own their memory and are C-contiguous are kept as given, since
-nothing can write to them, and any other input is copied.  A tensor built
-from another's arrays, such as ``symmetrize``'s of an order-1 tensor,
-shares them.  ``partial_contraction`` caches, on
-first use, one operator per open mode whose columns are the distinct
+dropped.  An order-2 tensor that stores at least half of its ``dim**2``
+cells, such as a fully connected pairwise model's, is held as one
+read-only ``(dim, dim)`` float64 array whose absent cells are zero; its
+``indices`` and ``values`` are made from that array, in canonical order,
+on each access.  Every other tensor is held in coordinate format, an
+``(nnz, order)`` index array and a parallel value array.  Instances are
+immutable: canonical input arrays that are read-only, own their memory and
+are C-contiguous are kept as given, since nothing can write to them, and
+any other input is copied.  A tensor built from another's arrays, such as
+``symmetrize``'s of an order-1 tensor, shares them.
+
+``partial_contraction`` caches, on first use, one operator per open mode.
+A dense-held tensor's array is mode 2's operator, and mode 1's too when it
+is symmetric; otherwise mode 1 keeps a contiguous copy of its transpose.
+For a coordinate tensor the operator's columns are the distinct
 closed-mode index rows that occur.  An operator at least half full is a
 dense ``(columns, dim)`` array, and a sparser one keeps its entries in
 (row, column) order; both are plain numpy arrays, and every row of a pull
-adds its terms in column order.  One dense operator serves both modes of
-an exactly symmetric order-2 tensor that stores every index, such as a
-fully connected pairwise model's.  An exactly supersymmetric order-3
-tensor instead caches one half-size set of entries, grouped by closed
-column, that every mode shares.  Its pull forms ``u (x) v + v (x) u`` only
-on the blocks' support ``S``, the indices where either is nonzero, and
-applies a plan of the entries in the columns of ``S x S``, cached for the
-last few supports.  Only the full support, which a solve's uniform start
-and non-finite blocks take, forms the dense ``dim**2`` work vector, and it
+adds its terms in column order.  An exactly supersymmetric order-3 tensor
+instead caches one half-size set of entries, grouped by closed column,
+that every mode shares.  Its pull forms ``u (x) v + v (x) u`` only on the
+blocks' support ``S``, the indices where either is nonzero, and applies a
+plan of the entries in the columns of ``S x S``, cached for the last few
+supports.  Only the full support, which a solve's uniform start and
+non-finite blocks take, forms the dense ``dim**2`` work vector, and it
 applies the whole half operator, with no plan.
 """
 
@@ -56,11 +62,16 @@ _KEY_LIMIT = 1 << 63
 # them in chunks, so that its temporaries stay a fraction of the tensor.
 _CHUNK = 1 << 15
 
+# Cells of a dense order-2 array that a pass over its entries reads at once.
+# A cell read makes up to ~40 bytes of temporaries (its row, column, value
+# or product), against ~8 for an entry of a coordinate tensor.
+_BLOCK = 1 << 12
+
 
 class SparseTensor:
     """Immutable sparse tensor with ``order`` modes of common size ``dim``."""
 
-    __slots__ = ("order", "dim", "indices", "values", "_contract_cache")
+    __slots__ = ("order", "dim", "nnz", "_indices", "_values", "_dense", "_contract_cache")
 
     def __init__(self, order, dim, indices=None, values=None):
         order = _checked_int("order", order)
@@ -101,13 +112,46 @@ class SparseTensor:
         if values.size and not np.all(np.isfinite(values)):
             raise ValueError("tensor values must be finite")
 
-        indices, values = _canonicalize(order, dim, indices, values)
-        indices.flags.writeable = False
-        values.flags.writeable = False
+        if order == 2 and 0 < dim * dim <= 2 * values.size:
+            self._hold(2, dim, dense=_scattered(dim, indices, values))
+        else:
+            self._hold(order, dim, *_canonicalize(order, dim, indices, values))
+
+    @classmethod
+    def _from_dense(cls, dense):
+        """The order-2 tensor whose entries are the nonzeros of the float64
+        ``(dim, dim)`` array ``dense``, which it takes over: the caller
+        keeps no reference to it.  Builders that score every index pair
+        hand their entries over this way, with no index arrays and no
+        canonicalization."""
+        if not np.all(np.isfinite(dense)):
+            raise ValueError("tensor values must be finite")
+        tensor = object.__new__(cls)
+        tensor._hold(2, dense.shape[0], dense=dense)
+        return tensor
+
+    def _hold(self, order, dim, indices=None, values=None, dense=None):
+        """Keep the canonical ``indices`` and ``values``, or the order-2
+        ``(dim, dim)`` array ``dense`` of the entries, absent ones +-0.0.
+        ``dense`` is held itself while at least half of it is stored, and
+        is replaced by its entries otherwise.  Every array kept is made
+        read-only."""
+        if dense is None:
+            nnz = values.shape[0]
+        else:
+            nnz = int(np.count_nonzero(dense))
+            if 2 * nnz < dim * dim:
+                indices, values = _dense_indices(dense), _dense_values(dense)
+                dense = None
+        for array in (indices, values, dense):
+            if array is not None:
+                array.flags.writeable = False
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "nnz", nnz)
+        object.__setattr__(self, "_indices", indices)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_dense", dense)
         object.__setattr__(self, "_contract_cache", {})
 
     def __setattr__(self, name, value):
@@ -134,8 +178,21 @@ class SparseTensor:
         return cls(order, dim, indices, values)
 
     @property
-    def nnz(self):
-        return self.values.shape[0]
+    def indices(self):
+        """The stored entries' index rows, an ``(nnz, order)`` int64 array in
+        canonical order, read-only.  A tensor held as a dense array makes
+        them anew on each access."""
+        if self._dense is None:
+            return self._indices
+        return _dense_indices(self._dense)
+
+    @property
+    def values(self):
+        """The stored entries' values, in canonical order, read-only.  A
+        tensor held as a dense array makes them anew on each access."""
+        if self._dense is None:
+            return self._values
+        return _dense_values(self._dense)
 
     def items(self):
         """Yield ``(index_tuple, value)`` in canonical (sorted) order."""
@@ -145,21 +202,37 @@ class SparseTensor:
     def __eq__(self, other):
         if not isinstance(other, SparseTensor):
             return NotImplemented
-        return (
-            self.order == other.order
-            and self.dim == other.dim
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
+        if (self.order, self.dim, self.nnz) != (other.order, other.dim, other.nnz):
+            return False
+        if self._dense is not None and other._dense is not None:
+            return np.array_equal(self._dense, other._dense)
+        return np.array_equal(self.indices, other.indices) and np.array_equal(
+            self.values, other.values
         )
 
     def __repr__(self):
         return f"SparseTensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
 
+    def _entry_chunks(self, size):
+        """The stored entries in canonical order, about ``size`` at a time
+        (at least one row of a dense array), as ``(columns, values)``:
+        one index array per mode, and the values."""
+        if self._dense is not None:
+            for lo, block, present in _dense_blocks(self._dense, size):
+                rows, cols = present.nonzero()
+                rows += lo
+                yield [rows, cols], block[present]
+            return
+        for lo in range(0, self.nnz, size):
+            part = slice(lo, lo + size)
+            yield list(self._indices[part].T), self._values[part]
+
     # -- cached contraction helpers ------------------------------------
 
     def _contraction_operator(self, open_mode):
         """Operator mapping the closed-mode index rows to the open mode
-        (``_mode_operator``), and those rows.
+        (``_mode_operator``, or the held array of a dense-held tensor), and
+        those rows.
 
         Row = index along ``open_mode``; column = rank, in lexicographic
         order, of the entry's closed-mode index row (the other modes in mode
@@ -168,33 +241,37 @@ class SparseTensor:
         """
         cache = self._contract_cache
         cached = cache.get(open_mode)
-        if cached is None:
-            if self.order == 2:
-                # Ranked by a presence mask over [0, dim): no sort, and no
-                # contiguous copy of the strided index column either.
-                closed = self.indices[:, 2 - open_mode]
-                present = np.zeros(self.dim, dtype=bool)
-                present[closed] = True
-                rows = present.nonzero()
-                ncols = rows[0].size
-                # With every index present, each column is its own index.
-                cols = closed if ncols == self.dim else (present.cumsum() - 1).take(closed)
+        if cached is not None:
+            return cached
+        if self._dense is not None:
+            # Mode 2's operator is the held array, and mode 1's its transpose:
+            # the array again when it is symmetric, else a contiguous copy (a
+            # strided view would take numpy's own loop, which rounds apart).
+            op = self._dense
+            if open_mode == 1 and not np.array_equal(op, op.T):
+                op = np.ascontiguousarray(op.T)
+            cached = cache[open_mode] = (op, (np.arange(self.dim),))
+            return cached
+        if self.order == 2:
+            # Ranked by a presence mask over [0, dim): no sort, and no
+            # contiguous copy of the strided index column either.
+            closed = self.indices[:, 2 - open_mode]
+            present = np.zeros(self.dim, dtype=bool)
+            present[closed] = True
+            rows = present.nonzero()
+            ncols = rows[0].size
+            # With every index present, each column is its own index.
+            cols = closed if ncols == self.dim else (present.cumsum() - 1).take(closed)
+        else:
+            closed = np.delete(self.indices, open_mode - 1, axis=1)
+            if self.order > 1:
+                rows, cols = _unique_rows(self.order - 1, self.dim, closed)
             else:
-                closed = np.delete(self.indices, open_mode - 1, axis=1)
-                if self.order > 1:
-                    rows, cols = _unique_rows(self.order - 1, self.dim, closed)
-                else:
-                    rows, cols = closed[:1], np.zeros(self.nnz, dtype=np.int64)
-                ncols, rows = rows.shape[0], tuple(np.ascontiguousarray(rows.T))
-            targets = self.indices[:, open_mode - 1]
-            op = _mode_operator(targets, cols, self.values, self.dim, ncols)
-            cached = cache[open_mode] = (op, rows)
-            # A square dense order-2 operator equal to its transpose is the
-            # other mode's operator too, bit for bit: its stored values are
-            # nonzero, and every other cell is +0.0 in both.
-            square = self.order == 2 and ncols == self.dim and type(op) is not tuple
-            if square and np.array_equal(op, op.T):
-                cache[3 - open_mode] = cached
+                rows, cols = closed[:1], np.zeros(self.nnz, dtype=np.int64)
+            ncols, rows = rows.shape[0], tuple(np.ascontiguousarray(rows.T))
+        targets = self.indices[:, open_mode - 1]
+        op = _mode_operator(targets, cols, self.values, self.dim, ncols)
+        cached = cache[open_mode] = (op, rows)
         return cached
 
     def _half_operator(self):
@@ -257,11 +334,11 @@ def _canonicalize(order, dim, indices, values):
     """Sort lexicographically, merge duplicate indices, drop exact zeros.
 
     Rows already sorted and distinct, as in every tensor file this package
-    writes, every pairwise tensor models b and c build and every order-3
-    tensor ``build_third_order`` builds, skip the sort.  When none of their
-    values is zero, arrays that are read-only, own their memory and are
-    C-contiguous are stored as given, since nothing can write to them;
-    other arrays are copied.
+    writes and every order-3 tensor ``build_third_order`` builds, skip the
+    sort; ``_ascending`` finds them a chunk of keys at a time.  When none
+    of their values is zero, arrays that are read-only, own their memory
+    and are C-contiguous are stored as given, since nothing can write to
+    them; other arrays are copied.
 
     Other rows are sorted by their int64 keys with ``_sorted_runs``.  When
     they are distinct they are only permuted; when some repeat,
@@ -278,10 +355,8 @@ def _canonicalize(order, dim, indices, values):
         if total == 0.0:
             return np.empty((0, 0), dtype=np.int64), np.empty(0, dtype=np.float64)
         return np.empty((1, 0), dtype=np.int64), np.array([total])
-    key = _row_keys(order, dim, indices)
-    if key is not None and np.all(key[1:] > key[:-1]):
-        # The keys go before the entries are copied, so both are never held.
-        del key
+    ascending, key = _ascending(order, dim, indices)
+    if ascending:
         keep = values != 0.0
         if keep.all():
             return _stored(indices), _stored(values)
@@ -300,6 +375,25 @@ def _canonicalize(order, dim, indices, values):
     return rows, merged
 
 
+def _ascending(order, dim, indices):
+    """Whether the index rows ascend strictly, and, when they do not, the
+    int64 keys of all of them for the sort (None where ``dim**order`` does
+    not fit int64).
+
+    The keys are compared a chunk at a time, each chunk against the last
+    key of the one before, so no key array of all rows is made for rows
+    that ascend.  Rows that fit one chunk are keyed once either way."""
+    if dim**order > _KEY_LIMIT:
+        return False, None
+    nnz, last = indices.shape[0], -1
+    for lo in range(0, nnz, _CHUNK):
+        key = _row_keys(order, dim, indices[lo : lo + _CHUNK])
+        if key[0] <= last or not np.all(key[1:] > key[:-1]):
+            return False, key if key.size == nnz else _row_keys(order, dim, indices)
+        last = key[-1]
+    return True, None
+
+
 def _stored(array):
     """``array`` itself when nothing else can write to it: it is read-only,
     owns its memory (no writable base behind it) and is C-contiguous.
@@ -308,6 +402,52 @@ def _stored(array):
     if flags.owndata and not flags.writeable and flags.c_contiguous:
         return array
     return array.copy()
+
+
+def _scattered(dim, indices, values):
+    """The ``(dim, dim)`` array of the order-2 entries ``indices`` and
+    ``values``: each cell the sum of its entries' values, added in input
+    order to +0.0 as ``_canonicalize``'s merge adds them, or +-0.0.
+
+    The values are first written as they are.  Only where an index pair
+    repeats can the cells hold fewer nonzeros than the values do, since a
+    later write replaces an earlier one; then the cells are summed anew."""
+    dense = np.zeros((dim, dim))
+    for lo in range(0, values.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        dense[indices[part, 0], indices[part, 1]] = values[part]
+    if np.count_nonzero(dense) != np.count_nonzero(values):
+        dense.fill(0.0)
+        # As silent as np.bincount where a sum overflows.
+        with np.errstate(over="ignore"):
+            np.add.at(dense, (indices[:, 0], indices[:, 1]), values)
+    return dense
+
+
+def _dense_blocks(dense, size=_BLOCK):
+    """Blocks of rows of the 2-D array ``dense``, about ``size`` cells each,
+    as ``(first row, block, mask of its nonzero cells)``."""
+    step = max(1, size // dense.shape[1])
+    for lo in range(0, dense.shape[0], step):
+        block = dense[lo : lo + step]
+        yield lo, block, block != 0.0
+
+
+def _dense_indices(dense):
+    """The index rows of the nonzero cells of ``dense``, in row-major
+    order, read-only."""
+    flat = np.flatnonzero(dense != 0.0)
+    indices = np.empty((flat.size, 2), dtype=np.int64)
+    np.divmod(flat, dense.shape[1], out=(indices[:, 0], indices[:, 1]))
+    indices.flags.writeable = False
+    return indices
+
+
+def _dense_values(dense):
+    """The nonzero cells of ``dense``, in row-major order, read-only."""
+    values = dense[dense != 0.0]
+    values.flags.writeable = False
+    return values
 
 
 def _unique_rows(order, dim, indices, runs=None):
@@ -461,11 +601,26 @@ def multilinear_form(tensor, vectors):
         return 0.0
     # Each entry's product is taken in mode order, a chunk at a time, so
     # only one values-sized buffer is held; one sum adds them all.
-    factor = tensor.values.copy()
-    for lo in range(0, tensor.nnz, _CHUNK):
-        part = factor[lo : lo + _CHUNK]
-        for m, v in enumerate(vectors):
-            part *= v[tensor.indices[lo : lo + _CHUNK, m]]
+    if tensor._dense is None:
+        factor = tensor.values.copy()
+        for lo in range(0, tensor.nnz, _CHUNK):
+            part = factor[lo : lo + _CHUNK]
+            for m, v in enumerate(vectors):
+                part *= v[tensor.indices[lo : lo + _CHUNK, m]]
+        return float(factor.sum())
+    # (v * x_i) * y_j over a block of rows, of which the stored cells are
+    # taken in canonical order: the coordinate terms, bit for bit.  An
+    # absent cell meets an inf as 0 * inf, a NaN that is dropped.
+    factor = np.empty(tensor.nnz)
+    at = 0
+    x, y = vectors
+    for lo, block, present in _dense_blocks(tensor._dense):
+        with np.errstate(invalid="ignore"):
+            terms = block * x[lo : lo + block.shape[0], None]
+            terms *= y
+        end = at + np.count_nonzero(present)
+        np.compress(present.ravel(), terms.ravel(), out=factor[at:end])
+        at = end
     return float(factor.sum())
 
 
@@ -565,10 +720,11 @@ def partial_contraction(tensor, open_mode, left, right):
         cols, targets = op.nonzero()
         terms = op[cols, targets] * work.take(cols)
         return np.bincount(targets, weights=terms, minlength=tensor.dim)
-    # A zero column of the work adds only +-0.0 terms to sums that start at
-    # +0.0, which leaves them unchanged, so its row of the operator is
-    # skipped.  This einsum's kernel adds each product, unfused, into the
-    # zeroed output, the columns in order.
+    # A zero column of the work, like an absent (+-0.0) cell of a dense
+    # operator, adds only +-0.0 terms to sums that start at +0.0, which
+    # leaves them unchanged, so its row of the operator is skipped.  This
+    # einsum's kernel adds each product, unfused, into the zeroed output,
+    # the columns in order.
     nonzero = work.nonzero()[0]
     if nonzero.size == 0:
         return np.zeros(tensor.dim)

@@ -161,6 +161,40 @@ def rowwise_canonicalize(order, indices, values):
     return uniq[keep], merged[keep]
 
 
+class CooTensor:
+    """A tensor kept in coordinate form, made by ``rowwise_canonicalize``
+    from any entries: the reference that a tensor held as a dense array is
+    compared with.  It has the attributes the reference routines here read
+    (``order``, ``dim``, ``nnz``, ``indices``, ``values``, ``items``)."""
+
+    def __init__(self, order, dim, indices, values):
+        self.order, self.dim = order, dim
+        self.indices, self.values = rowwise_canonicalize(order, indices, values)
+
+    @property
+    def nnz(self):
+        return self.values.size
+
+    def items(self):
+        for row, v in zip(self.indices.tolist(), self.values.tolist()):
+            yield tuple(row), v
+
+    def form(self, vectors):
+        """The multilinear form: each entry's value times its vector
+        entries, in mode order, summed in canonical order by one sum."""
+        if self.nnz == 0:
+            return 0.0
+        terms = self.values.copy()
+        for m, v in enumerate(vectors):
+            terms *= np.asarray(v, dtype=np.float64)[self.indices[:, m]]
+        return float(terms.sum())
+
+    def minimized(self, v_max):
+        """``to_minimization``'s tensor: ``v_max - v`` at every stored
+        entry, those that become zero dropped."""
+        return CooTensor(self.order, self.dim, self.indices, v_max - self.values)
+
+
 def linewise_tensor_lines(tensor):
     """Tensor section text, formatted one entry at a time with ``str`` and
     ``repr``."""

@@ -8,6 +8,7 @@ import oracles
 from helpers import dense_random_instance, random_instance, random_sparse_tensor, run_fresh
 
 from adgm import discretize
+from adgm import tensor as tensor_module
 from adgm.constraints import ConstraintSpec, SideMode, as_matrix, as_vector, feasibility
 from adgm.discretize import BruteForceLimits, brute_force_optimum, hungarian
 from adgm.errors import OracleRefusalError
@@ -283,6 +284,27 @@ def test_tie_break_holds_across_batch_boundaries(monkeypatch, per_batch, row_mod
         unary = SparseTensor(1, n, np.arange(n)[:, None], rng.integers(1, 3, n).astype(float))
         inst = MatchingInstance(n1, n2, (unary,), spec, sense)
         assert_same_optimum(inst)
+
+
+def test_a_dense_pairwise_tensor_gives_the_oracle_its_entries_once(monkeypatch):
+    # A tensor held as a dense array makes its entries on each access, so
+    # the oracle reads them once per call, not once per batch.
+    inst = dense_random_instance(np.random.default_rng(53), 4, 4)
+    assert inst.potentials[1]._dense is not None
+    expected = brute_force_optimum(inst)
+    monkeypatch.setattr(discretize, "_BATCH_FLOATS", 3 * inst.n**2)
+    sizes = record_batch_sizes(monkeypatch)
+    reads = []
+    for name in ("_dense_indices", "_dense_values"):
+
+        def counted(dense, name=name, make=getattr(tensor_module, name)):
+            reads.append(name)
+            return make(dense)
+
+        monkeypatch.setattr(tensor_module, name, counted)
+    got = brute_force_optimum(inst)
+    assert len(sizes) > 1 and sorted(reads) == ["_dense_indices", "_dense_values"]
+    assert got[0].tobytes() == expected[0].tobytes() and got[1] == expected[1]
 
 
 def test_refusals_raise_before_any_candidate_is_scored(monkeypatch):

@@ -431,6 +431,23 @@ class TestStreamedText:
         assert pair.nnz == 228_000
         assert peak < 2.2 * (pair.indices.nbytes + pair.values.nbytes)
 
+    def test_reading_a_model_c_instance_peaks_below_1_6_coordinate_tensors(self, tmp_path):
+        # The parsed columns and the tensor's one dense array, no copy of
+        # the columns and no sort.
+        p, q, _ = generate_synthetic(20, 5, 0.02, Transform(rotation=0.3), seed=1)
+        path = tmp_path / "instance.txt"
+        write_instance(path, build_pairwise_c(p, q))
+        tracemalloc.start()
+        try:
+            loaded = read_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pair = loaded.potentials[1]
+        assert pair.nnz == 228_000 and pair._dense is not None
+        assert peak < 1.6 * (pair.indices.nbytes + pair.values.nbytes)
+
+
 def test_text_is_utf8_whatever_the_locale(tmp_path):
     (tmp_path / "tensor.txt").write_bytes("# café\norder 1 dim 3\n0 1.5  # naïve\n".encode())
     (tmp_path / "points.txt").write_bytes("# café\n1\n0.5 0.25\n".encode())

@@ -401,6 +401,20 @@ class TestFullyConnectedBuild:
         assert pair.nnz == 228_000
         assert peak < 2.5 * (pair.indices.nbytes + pair.values.nbytes)
 
+    def test_build_and_its_entries_peak_below_1_5_coordinate_tensors(self):
+        # The tensor is held as one 500 x 500 array; its index rows and
+        # values are made on access, as a writer or a digest reads them.
+        p, q, _ = generate_synthetic(20, 5, 0.02, Transform(rotation=0.3), seed=1)
+        tracemalloc.start()
+        try:
+            pair = build_pairwise_c(p, q).potentials[1]
+            entries = pair.indices, pair.values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair.nnz == 228_000 and pair._dense is not None
+        assert peak < 1.5 * sum(a.nbytes for a in entries)
+
 
 def _permuted_blocks(p, q, knn=300, triangle_budget=5000, gamma=None, seed=None):
     """build_third_order's entries before canonicalization: the kept
@@ -566,7 +580,7 @@ class TestThirdOrder:
         second = build_third_order(p, q, triangle_budget=10, seed=99)
         assert first.potentials[2] == second.potentials[2]
 
-    def test_build_peaks_below_one_and_a_half_times_the_instance(self):
+    def test_build_peaks_below_1_3_times_the_instance(self):
         # 10+5 points: 36k kept matches, a 216k-entry order-3 tensor.
         p, q, _ = generate_synthetic(10, 5, 0.02, Transform(rotation=0.3), seed=1)
         tracemalloc.start()
@@ -577,7 +591,7 @@ class TestThirdOrder:
             tracemalloc.stop()
         assert inst.potentials[2].nnz == 216_000
         kept = sum(t.indices.nbytes + t.values.nbytes for t in inst.potentials)
-        assert peak < 1.5 * kept
+        assert peak < 1.3 * kept
 
     def test_parameter_validation(self):
         tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -382,13 +382,16 @@ def test_a_model_c_solve_builds_one_operator(monkeypatch, variant):
     values[0] = np.nextafter(values[0], np.inf)
     nudged = SparseTensor(2, pair.dim, pair.indices, values)
     nudged = replace(inst, potentials=(inst.potentials[0], nudged))
-    # The symmetric pairwise tensor shares one operator between its two
-    # modes; one ulp off symmetry, each mode builds its own.
+    # The symmetric pairwise tensor's dense array is the one operator of
+    # both its modes; one ulp off symmetry, mode 1 has its own transposed
+    # copy.  Neither builds a per-mode operator.
     for instance, expected in ((inst, 1), (nudged, 2)):
         built = operator_builds(monkeypatch)
         solve(instance, SolverConfig(variant=variant, max_iter=5))
-        assert len(built) == expected
         monkeypatch.undo()
+        assert built == []
+        cache = instance.potentials[1]._contract_cache
+        assert len({id(cache[m][0]) for m in (1, 2)}) == expected
 
 
 def test_first_model_c_solve_peaks_below_one_and_a_half_tensors():
@@ -404,6 +407,22 @@ def test_first_model_c_solve_peaks_below_one_and_a_half_tensors():
     pair = inst.potentials[1]
     assert pair.nnz == 228_000
     assert peak < 1.5 * (pair.indices.nbytes + pair.values.nbytes)
+
+
+def test_first_model_c_solve_peaks_below_half_a_coordinate_tensor():
+    # The tensor's dense array is the operator of both modes, and the
+    # energy holds one values-sized buffer.
+    p1, p2, _ = generate_synthetic(20, 5, 0.02, Transform(rotation=0.3), seed=1)
+    inst = build_pairwise_c(p1, p2)
+    tracemalloc.start()
+    try:
+        solve(inst, SolverConfig(max_iter=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pair = inst.potentials[1]
+    assert pair.nnz == 228_000 and pair._dense is not None
+    assert peak < 0.5 * (pair.indices.nbytes + pair.values.nbytes)
 
 
 def test_first_third_order_solve_peaks_below_four_fifths_of_the_tensor():

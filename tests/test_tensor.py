@@ -8,7 +8,9 @@ import pytest
 import oracles
 from helpers import operator_builds, random_sparse_tensor
 
+from adgm import io as io_module
 from adgm import tensor as tensor_module
+from adgm.io import tensor_to_lines
 from adgm.harness import Transform, generate_synthetic
 from adgm.models import build_third_order
 from adgm.tensor import (
@@ -393,6 +395,39 @@ def test_symmetrize_of_an_order1_tensor_shares_its_arrays():
     assert averaged.indices is t.indices and averaged.values is t.values
 
 
+@pytest.mark.parametrize("across", ["descending", "repeated"])
+def test_rows_that_ascend_only_inside_each_chunk_take_the_sort(monkeypatch, across):
+    # The sorted-input check reads the keys a chunk at a time; each chunk's
+    # first key is compared with the last key of the chunk before.
+    monkeypatch.setattr(tensor_module, "_CHUNK", 4)
+    rng = np.random.default_rng(34)
+    indices, values = _canonical_order3(rng, nnz=12)
+    if across == "descending":
+        swapped = [4, 5, 6, 7, 0, 1, 2, 3, 8, 9, 10, 11]
+        indices, values = indices[swapped], values[swapped]
+    else:
+        indices[4] = indices[3]
+    tensor = SparseTensor(3, 9, indices, values)
+    _assert_same_arrays(tensor, *oracles.rowwise_canonicalize(3, indices, values))
+    assert tensor.nnz == (12 if across == "descending" else 11)
+
+
+def test_a_dense_tensor_over_several_row_blocks_keeps_its_text_and_form():
+    # 70 x 70 cells: the text writer's and the form's row blocks each take
+    # 58 rows, so both read two blocks.
+    rng = np.random.default_rng(35)
+    dim = 70
+    stored = rng.random((dim, dim)) < 0.75
+    indices, values = np.argwhere(stored), rng.normal(size=np.count_nonzero(stored))
+    tensor, ref = SparseTensor(2, dim, indices, values), oracles.CooTensor(2, dim, indices, values)
+    assert tensor._dense is not None
+    assert dim * dim > max(tensor_module._BLOCK, io_module._CHUNK_ROWS)
+    _assert_same_arrays(tensor, ref.indices, ref.values)
+    assert tensor_to_lines(tensor) == oracles.linewise_tensor_lines(ref)
+    x, y = rng.normal(size=dim), rng.normal(size=dim)
+    assert multilinear_form(tensor, [x, y]) == ref.form([x, y])
+
+
 # -- multilinear form ----------------------------------------------------
 
 
@@ -644,20 +679,23 @@ def _symmetric_pair_tensor(rng, dim, missing=None):
 
 
 @pytest.mark.parametrize(
-    "case, builds", [("symmetric", 1), ("one-ulp-off", 2), ("index-missing", 2)]
+    "case, operators", [("symmetric", 1), ("one-ulp-off", 2), ("index-missing", 1)]
 )
-def test_symmetric_dense_order2_tensor_shares_one_operator(monkeypatch, case, builds):
-    # Both modes of an exactly symmetric order-2 tensor whose dense operator
-    # covers every index read one operator.  One ulp off symmetry, or with
-    # an index that no entry holds, each mode builds its own.
+def test_symmetric_dense_order2_tensor_shares_one_operator(monkeypatch, case, operators):
+    # An order-2 tensor at least half full is held as one dense array, which
+    # is mode 2's operator.  Exactly symmetric, it is mode 1's too, whether
+    # or not every index holds an entry; one ulp off symmetry, mode 1 makes
+    # its own contiguous transpose.  Neither builds a per-mode operator.
     rng = np.random.default_rng(31)
-    for dim in (1, 2, 5, 9) if case == "symmetric" else (2, 5, 9):
+    dims = {"symmetric": (1, 2, 5, 9), "one-ulp-off": (2, 5, 9), "index-missing": (5, 9)}
+    for dim in dims[case]:
         t = _symmetric_pair_tensor(rng, dim, missing=dim - 1 if case == "index-missing" else None)
         if case == "one-ulp-off":
             values = t.values.copy()
             k = int(np.flatnonzero(t.indices[:, 0] != t.indices[:, 1])[0])
             values[k] = np.nextafter(values[k], np.inf)
             t = SparseTensor(2, dim, t.indices, values)
+        assert t._dense is not None
         built = operator_builds(monkeypatch)
         for kind in ("zero", "signed-zero", "full", "non-finite"):
             for open_mode in (1, 2):
@@ -668,9 +706,10 @@ def test_symmetric_dense_order2_tensor_shares_one_operator(monkeypatch, case, bu
                     expected = oracles.per_mode_partial_contraction(t, open_mode, left, right)
                 assert got.tobytes() == expected.tobytes()
         monkeypatch.undo()
-        assert len(built) == builds
-        assert isinstance(t._contract_cache[1][0], np.ndarray)
-        assert (t._contract_cache[1] is t._contract_cache[2]) == (builds == 1)
+        assert built == []
+        first, second = (t._contract_cache[m][0] for m in (1, 2))
+        assert second is t._dense and first.flags.c_contiguous
+        assert len({id(first), id(second)}) == operators
 
 
 @pytest.mark.parametrize("order, dim, nnz", [(3, 1100, 4000), (4, 110, 4000)])
