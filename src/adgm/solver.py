@@ -300,11 +300,17 @@ def to_minimization(instance):
         return instance, 0.0
     entry_maxes = [float(t.values.max()) for t in instance.potentials if t.nnz]
     v_max = max(entry_maxes) if entry_maxes else 0.0
-    converted = tuple(
-        SparseTensor(t.order, t.dim, t.indices, v_max - t.values)
-        for t in instance.potentials
-    )
-    flipped = replace(instance, potentials=converted, sense=Sense.MINIMIZE)
+    converted = []
+    for t in instance.potentials:
+        with np.errstate(over="ignore"):
+            shifted = v_max - t.values
+        if not np.all(np.isfinite(shifted)):
+            raise ValueError(
+                "the potentials span more than the float range: every shifted "
+                "value v_max - v must be finite"
+            )
+        converted.append(SparseTensor(t.order, t.dim, t.indices, shifted))
+    flipped = replace(instance, potentials=tuple(converted), sense=Sense.MINIMIZE)
     return flipped, v_max
 
 

@@ -19,21 +19,22 @@ are C-contiguous are kept as given, since nothing can write to them, and
 any other input is copied.  A tensor built from another's arrays, such as
 ``symmetrize``'s of an order-1 tensor, shares them.
 
-``partial_contraction`` caches, on first use, one operator per open mode.
-A dense-held tensor's array is mode 2's operator, and mode 1's too when it
+``partial_contraction`` takes one of three paths, each adding a row's
+terms to +0.0 in the order of their closed indices.  A coordinate tensor
+adds each entry's value times its closed-mode vector entries into its
+open index with one ``np.bincount``, in canonical order, from one
+contiguous copy of its index columns that every mode shares.  A
+dense-held tensor's array is mode 2's operator, and mode 1's too when it
 is symmetric; otherwise mode 1 keeps a contiguous copy of its transpose.
-For a coordinate tensor the operator's columns are the distinct
-closed-mode index rows that occur.  An operator at least half full is a
-dense ``(columns, dim)`` array, and a sparser one keeps its entries in
-(row, column) order; both are plain numpy arrays, and every row of a pull
-adds its terms in column order.  An exactly supersymmetric order-3 tensor
-instead caches one half-size set of entries, grouped by closed column,
-that every mode shares.  Its pull forms ``u (x) v + v (x) u`` only on the
-blocks' support ``S``, the indices where either is nonzero, and applies a
-plan of the entries in the columns of ``S x S``, cached for the last few
-supports.  Only the full support, which a solve's uniform start and
-non-finite blocks take, forms the dense ``dim**2`` work vector, and it
-applies the whole half operator, with no plan.
+A work vector holding an inf or a NaN takes the entries instead, since
+``0 * inf`` is NaN.  An exactly supersymmetric order-3 tensor caches one
+half-size set of entries, grouped by closed column, that every mode
+shares.  Its pull forms ``u (x) v + v (x) u`` only on the blocks'
+support ``S``, the indices where either is nonzero, and applies a plan of
+the entries in the columns of ``S x S``, cached for the last few supports.
+Only the full support, which a solve's uniform start and non-finite blocks
+take, forms the dense ``dim**2`` work vector, and it applies the whole
+half operator, with no plan.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 # Largest dim**2 for which a supersymmetric order-3 tensor takes the half
 # operator, whose column pointers have dim**2 + 1 entries and whose pull
 # forms a dense dim**2 work vector for the full support; beyond it the
-# tensor takes the per-mode operators.
+# tensor is pulled through its entries.
 _MATVEC_CAP = 1 << 20
 
 # Supports whose half-operator pull plans a tensor keeps, the most recently
@@ -62,9 +63,9 @@ _KEY_LIMIT = 1 << 63
 # them in chunks, so that its temporaries stay a fraction of the tensor.
 _CHUNK = 1 << 15
 
-# Cells of a dense order-2 array that a pass over its entries reads at once.
-# A cell read makes up to ~40 bytes of temporaries (its row, column, value
-# or product), against ~8 for an entry of a coordinate tensor.
+# Entries, or cells of a dense order-2 array, that the multilinear form
+# reads at once.  A cell read makes up to ~40 bytes of temporaries (its
+# row, column, value or product).
 _BLOCK = 1 << 12
 
 
@@ -215,10 +216,13 @@ class SparseTensor:
 
     def _entry_chunks(self, size):
         """The stored entries in canonical order, about ``size`` at a time
-        (at least one row of a dense array), as ``(columns, values)``:
-        one index array per mode, and the values."""
+        (the cells of at least one row of a dense array), as ``(columns,
+        values)``: one index array per mode, and the values."""
         if self._dense is not None:
-            for lo, block, present in _dense_blocks(self._dense, size):
+            step = max(1, size // self.dim)
+            for lo in range(0, self.dim, step):
+                block = self._dense[lo : lo + step]
+                present = block != 0.0
                 rows, cols = present.nonzero()
                 rows += lo
                 yield [rows, cols], block[present]
@@ -229,50 +233,29 @@ class SparseTensor:
 
     # -- cached contraction helpers ------------------------------------
 
-    def _contraction_operator(self, open_mode):
-        """Operator mapping the closed-mode index rows to the open mode
-        (``_mode_operator``, or the held array of a dense-held tensor), and
-        those rows.
+    def _dense_operator(self, open_mode):
+        """The held array of a dense-held tensor as the operator of
+        ``open_mode``: row = closed index, column = open index.
 
-        Row = index along ``open_mode``; column = rank, in lexicographic
-        order, of the entry's closed-mode index row (the other modes in mode
-        order) among the distinct ones stored.  The rows come back as one
-        index array per closed mode; an order-1 tensor has one empty row.
+        Mode 2's operator is the array itself, and mode 1's its transpose:
+        the array again when it is symmetric, else a contiguous copy (a
+        strided view would take numpy's own loop, which rounds apart).
         """
         cache = self._contract_cache
-        cached = cache.get(open_mode)
-        if cached is not None:
-            return cached
-        if self._dense is not None:
-            # Mode 2's operator is the held array, and mode 1's its transpose:
-            # the array again when it is symmetric, else a contiguous copy (a
-            # strided view would take numpy's own loop, which rounds apart).
+        if open_mode not in cache:
             op = self._dense
             if open_mode == 1 and not np.array_equal(op, op.T):
                 op = np.ascontiguousarray(op.T)
-            cached = cache[open_mode] = (op, (np.arange(self.dim),))
-            return cached
-        if self.order == 2:
-            # Ranked by a presence mask over [0, dim): no sort, and no
-            # contiguous copy of the strided index column either.
-            closed = self.indices[:, 2 - open_mode]
-            present = np.zeros(self.dim, dtype=bool)
-            present[closed] = True
-            rows = present.nonzero()
-            ncols = rows[0].size
-            # With every index present, each column is its own index.
-            cols = closed if ncols == self.dim else (present.cumsum() - 1).take(closed)
-        else:
-            closed = np.delete(self.indices, open_mode - 1, axis=1)
-            if self.order > 1:
-                rows, cols = _unique_rows(self.order - 1, self.dim, closed)
-            else:
-                rows, cols = closed[:1], np.zeros(self.nnz, dtype=np.int64)
-            ncols, rows = rows.shape[0], tuple(np.ascontiguousarray(rows.T))
-        targets = self.indices[:, open_mode - 1]
-        op = _mode_operator(targets, cols, self.values, self.dim, ncols)
-        cached = cache[open_mode] = (op, rows)
-        return cached
+            cache[open_mode] = op
+        return cache[open_mode]
+
+    def _index_columns(self):
+        """A coordinate tensor's index columns, one contiguous ``(order,
+        nnz)`` array made on first use and shared by every mode's pull."""
+        cache = self._contract_cache
+        if "columns" not in cache:
+            cache["columns"] = np.ascontiguousarray(self._indices.T)
+        return cache["columns"]
 
     def _half_operator(self):
         """The entries every mode's pull of a supersymmetric order-3 tensor
@@ -283,8 +266,8 @@ class SparseTensor:
         values)``: the entries of column ``k = b * dim + c`` are
         ``starts[k]:starts[k + 1]``, with their rows ``a`` ascending.
         Applied to the symmetric ``u (x) v + v (x) u`` they sum
-        ``T[a, b, c] u_b v_c`` over all ``(b, c)``, as each per-mode
-        operator does.  Whether the tensor is exactly supersymmetric is
+        ``T[a, b, c] u_b v_c`` over all ``(b, c)``, as a pull of every
+        entry does.  Whether the tensor is exactly supersymmetric is
         checked on the first call and cached with the entries.
         """
         cache = self._contract_cache
@@ -346,12 +329,13 @@ def _canonicalize(order, dim, indices, values):
     the bits do not depend on how the sort orders equal keys.
     Both give the bits of merging every row: a lone row's merged value is
     ``0.0 + v``, which is ``v``, or ``+0.0`` and dropped when ``v`` is
-    ``-0.0``.
+    ``-0.0``.  A merged sum that overflows is refused.
     """
     if indices.shape[0] == 0:
         return indices.copy(), values.copy()
     if order == 0:
-        total = float(values.sum())
+        with np.errstate(over="ignore"):
+            total = float(_finite_sums(values.sum()))
         if total == 0.0:
             return np.empty((0, 0), dtype=np.int64), np.empty(0, dtype=np.float64)
         return np.empty((1, 0), dtype=np.int64), np.array([total])
@@ -368,7 +352,7 @@ def _canonicalize(order, dim, indices, values):
         rows, merged = indices.take(runs[0], axis=0), values.take(runs[0])
     else:
         rows, inverse = _unique_rows(order, dim, indices, runs)
-        merged = np.bincount(inverse, weights=values, minlength=rows.shape[0])
+        merged = _finite_sums(np.bincount(inverse, weights=values, minlength=rows.shape[0]))
     if not merged.all():
         keep = merged != 0.0
         rows, merged = rows[keep], merged[keep]
@@ -411,26 +395,26 @@ def _scattered(dim, indices, values):
 
     The values are first written as they are.  Only where an index pair
     repeats can the cells hold fewer nonzeros than the values do, since a
-    later write replaces an earlier one; then the cells are summed anew."""
+    later write replaces an earlier one; then the cells are summed anew,
+    and a sum that overflows is refused."""
     dense = np.zeros((dim, dim))
     for lo in range(0, values.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
         dense[indices[part, 0], indices[part, 1]] = values[part]
     if np.count_nonzero(dense) != np.count_nonzero(values):
         dense.fill(0.0)
-        # As silent as np.bincount where a sum overflows.
         with np.errstate(over="ignore"):
             np.add.at(dense, (indices[:, 0], indices[:, 1]), values)
+        _finite_sums(dense)
     return dense
 
 
-def _dense_blocks(dense, size=_BLOCK):
-    """Blocks of rows of the 2-D array ``dense``, about ``size`` cells each,
-    as ``(first row, block, mask of its nonzero cells)``."""
-    step = max(1, size // dense.shape[1])
-    for lo in range(0, dense.shape[0], step):
-        block = dense[lo : lo + step]
-        yield lo, block, block != 0.0
+def _finite_sums(sums):
+    """``sums``, the merged values of repeated index rows, when none of
+    them overflowed; a ValueError otherwise."""
+    if not np.all(np.isfinite(sums)):
+        raise ValueError("tensor values must be finite: a sum of repeated entries overflows")
+    return sums
 
 
 def _dense_indices(dense):
@@ -543,23 +527,6 @@ def _is_supersymmetric(tensor):
     return True
 
 
-def _mode_operator(targets, cols, values, dim, ncols):
-    """A per-mode operator with the entries ``values`` at rows ``targets``
-    and columns ``cols`` (distinct pairs) and shape ``(dim, ncols)``.
-
-    At least half full, it is the dense transposed ``(ncols, dim)`` array,
-    which then takes at most ~1.3x the bytes of a compressed matrix.
-    Otherwise it is the tuple ``(targets, cols, values)`` with the entries
-    in (row, column) order.
-    """
-    if 2 * values.size >= ncols * dim:
-        dense = np.zeros((ncols, dim))
-        dense[cols, targets] = values
-        return dense
-    perm = np.argsort(targets * ncols + cols)
-    return targets.take(perm), cols.take(perm), values.take(perm)
-
-
 def _half_entries(tensor):
     """The half operator's ``(starts, rows, values)`` of an exactly
     supersymmetric order-3 tensor (see ``SparseTensor._half_operator``).
@@ -599,28 +566,16 @@ def multilinear_form(tensor, vectors):
             raise ValueError(f"vectors must have shape ({tensor.dim},)")
     if tensor.nnz == 0:
         return 0.0
-    # Each entry's product is taken in mode order, a chunk at a time, so
-    # only one values-sized buffer is held; one sum adds them all.
-    if tensor._dense is None:
-        factor = tensor.values.copy()
-        for lo in range(0, tensor.nnz, _CHUNK):
-            part = factor[lo : lo + _CHUNK]
-            for m, v in enumerate(vectors):
-                part *= v[tensor.indices[lo : lo + _CHUNK, m]]
-        return float(factor.sum())
-    # (v * x_i) * y_j over a block of rows, of which the stored cells are
-    # taken in canonical order: the coordinate terms, bit for bit.  An
-    # absent cell meets an inf as 0 * inf, a NaN that is dropped.
-    factor = np.empty(tensor.nnz)
-    at = 0
-    x, y = vectors
-    for lo, block, present in _dense_blocks(tensor._dense):
-        with np.errstate(invalid="ignore"):
-            terms = block * x[lo : lo + block.shape[0], None]
-            terms *= y
-        end = at + np.count_nonzero(present)
-        np.compress(present.ravel(), terms.ravel(), out=factor[at:end])
-        at = end
+    # Each entry's product (v * x_1) * x_2 ... is taken in mode order, a
+    # block of entries at a time into one buffer, so only the buffer is
+    # held; one sum adds the terms, in canonical order.
+    factor, at = np.empty(tensor.nnz), 0
+    for columns, values in tensor._entry_chunks(_BLOCK):
+        part = factor[at : at + values.size]
+        part[...] = values
+        for v, index in zip(vectors, columns):
+            part *= v[index]
+        at += values.size
     return float(factor.sum())
 
 
@@ -703,34 +658,37 @@ def partial_contraction(tensor, open_mode, left, right):
         pull = np.bincount(rows, weights=terms, minlength=tensor.dim)
         return pull.astype(np.float64, copy=False)
 
-    # Each column's product of its row's closed-mode vector entries, taken
-    # in mode order; the one empty row of an order-1 tensor has product 1.
-    op, rows = tensor._contraction_operator(open_mode)
-    factors = [v[index] for v, index in zip(closed, rows)] or [np.ones(1)]
-    work = factors[0]
-    for factor in factors[1:]:
-        work *= factor
-    # Every row adds its terms to +0.0 in column order, so the bits are
-    # those of applying each stored entry in turn.
-    if type(op) is tuple:
-        targets, cols, values = op
-        return np.bincount(targets, weights=values * work.take(cols), minlength=tensor.dim)
-    if not math.isfinite(work.sum()):
+    if tensor._dense is not None:
+        work = np.ascontiguousarray(closed[0])
+        if math.isfinite(work.sum()):
+            # A zero entry of the work, like an absent (+-0.0) cell, adds
+            # only +-0.0 terms to sums that start at +0.0, which leaves them
+            # unchanged, so its row of the operator is skipped.  This
+            # einsum's kernel adds each product, unfused, into the zeroed
+            # output, the rows in order.
+            nonzero = work.nonzero()[0]
+            if nonzero.size == 0:
+                return np.zeros(tensor.dim)
+            op = tensor._dense_operator(open_mode)
+            if 2 * nonzero.size < work.size:
+                op, work = op.take(nonzero, axis=0), work.take(nonzero)
+            return np.einsum("ka,k->a", op, work)
         # 0 * inf is NaN: only the stored entries may meet the work.
-        cols, targets = op.nonzero()
-        terms = op[cols, targets] * work.take(cols)
-        return np.bincount(targets, weights=terms, minlength=tensor.dim)
-    # A zero column of the work, like an absent (+-0.0) cell of a dense
-    # operator, adds only +-0.0 terms to sums that start at +0.0, which
-    # leaves them unchanged, so its row of the operator is skipped.  This
-    # einsum's kernel adds each product, unfused, into the zeroed output,
-    # the columns in order.
-    nonzero = work.nonzero()[0]
-    if nonzero.size == 0:
-        return np.zeros(tensor.dim)
-    if 2 * nonzero.size < work.size:
-        op, work = op.take(nonzero, axis=0), work.take(nonzero)
-    return np.einsum("ka,k->a", op, work)
+        columns, values = tensor.indices.T, tensor.values
+    else:
+        columns, values = tensor._index_columns(), tensor._values
+    # Each entry's term is its value times the product of its closed-mode
+    # vector entries, taken in mode order.  Read at one open index, the
+    # canonical order is the lexicographic order of the closed indices, so
+    # every row adds its terms to +0.0 in that order.
+    modes = [m for m in range(tensor.order) if m != open_mode - 1]
+    terms = values
+    if closed:
+        work = closed[0].take(columns[modes[0]])
+        for v, m in zip(closed[1:], modes[1:]):
+            work *= v.take(columns[m])
+        terms = np.multiply(values, work, out=work)
+    return np.bincount(columns[open_mode - 1], weights=terms, minlength=tensor.dim)
 
 
 def symmetrize(tensor):

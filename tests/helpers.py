@@ -62,18 +62,25 @@ def random_state(rng, instance, rho=None):
 
 
 def operator_builds(monkeypatch):
-    """Record every contraction operator that ``adgm.tensor`` builds, per
-    mode or half-size, until ``monkeypatch`` is undone; returns the list of
-    recorded calls."""
+    """Record each contraction cache that ``adgm.tensor`` builds, until
+    ``monkeypatch`` is undone: ``"half"`` for a supersymmetric order-3
+    tensor's half operator, ``"columns"`` for a coordinate tensor's
+    contiguous index columns.  Returns the list of records."""
     built = []
-    for name in ("_mode_operator", "_half_entries"):
-        build = getattr(tensor_module, name)
+    half_entries = tensor_module._half_entries
+    index_columns = SparseTensor._index_columns
 
-        def spy(*args, build=build):
-            built.append(args)
-            return build(*args)
+    def spy_half(tensor):
+        built.append("half")
+        return half_entries(tensor)
 
-        monkeypatch.setattr(tensor_module, name, spy)
+    def spy_columns(tensor):
+        if "columns" not in tensor._contract_cache:
+            built.append("columns")
+        return index_columns(tensor)
+
+    monkeypatch.setattr(tensor_module, "_half_entries", spy_half)
+    monkeypatch.setattr(SparseTensor, "_index_columns", spy_columns)
     return built
 
 

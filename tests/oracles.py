@@ -60,7 +60,8 @@ def dense_partial_contraction(dense, open_mode, left, right):
 def per_mode_partial_contraction(tensor, open_mode, left, right):
     """``partial_contraction`` through the open mode's own CSR operator:
     rows along the open mode, columns the mixed-radix combination of the
-    closed modes, applied to their outer product.  No symmetry shortcut."""
+    closed modes, applied to their outer product (the one entry 1.0 for an
+    order-1 tensor).  No symmetry shortcut."""
     closed = [m for m in range(tensor.order) if m != open_mode - 1]
     cols = np.zeros(tensor.nnz, dtype=np.int64)
     for m in closed:
@@ -70,7 +71,7 @@ def per_mode_partial_contraction(tensor, open_mode, left, right):
         shape=(tensor.dim, tensor.dim ** len(closed)),
     )
     vectors = [np.asarray(v, dtype=np.float64) for v in list(left) + list(right)]
-    work = vectors[0]
+    work = vectors[0] if vectors else np.ones(1)
     for v in vectors[1:]:
         work = np.multiply.outer(work, v)
     return op @ work.ravel()

@@ -9,7 +9,8 @@ The first line is the digest of all sections together; then follows one
 ``name digest`` line per section, so a change that deliberately alters
 one section shows every other one unchanged.  It imports the ``adgm``
 package of the checkout it lives in and hashes, section by section
-(models, schedules, random, hungarian, injective, parse, bench, pulls):
+(models, schedules, random, hungarian, injective, parse, bench, pulls,
+coordinate_pulls):
 
 - every ``SolverResult`` field except ``wall_time``, traced, for both
   variants, on models a, b, c and third (seeds 0-2, 6 inliers plus 2
@@ -29,7 +30,12 @@ package of the checkout it lives in and hashes, section by section
 - ``partial_contraction`` of a supersymmetric order-3 tensor, through
   every mode, for blocks on a recurring pool of supports (more than the
   pull keeps plans for), with +-0.0, subnormal, huge, infinite and NaN
-  entries.
+  entries;
+- ``partial_contraction`` through every open mode of coordinate tensors of
+  orders 1-4, sparse ones and ones at least half full (an order-2 one held
+  as a dense array, another with its entries in a few full columns), for
+  work vectors with +-0.0, subnormal, huge, infinite and NaN entries, all
+  zero, mostly zero or without zeros.
 
 Floats are hashed bit for bit, so a digest depends on the platform and
 its numpy build: compare digests taken on one machine.  Pytest does not
@@ -217,6 +223,40 @@ def feed_pulls(digest):
             feed(digest, partial_contraction(tensor, mode, blocks[: mode - 1], blocks[mode - 1 :]))
 
 
+def coordinate_tensors(rng):
+    """Tensors of orders 1-4 that no half operator serves, each built from
+    shuffled rows so that it is canonicalized: sparse and at least half
+    full grids, an order-2 one whose entries fill three columns, and one
+    order-2 one held as a dense array."""
+    for order, dim in ((1, 20), (2, 9), (3, 6), (4, 4)):
+        grid = np.indices((dim,) * order).reshape(order, -1).T
+        for density in (0.15, 0.7):
+            yield grid[rng.random(grid.shape[0]) < density], order, dim
+    yield np.indices((9, 3)).reshape(2, -1).T, 2, 9
+
+
+def feed_coordinate_pulls(digest):
+    rng = np.random.default_rng(2402)
+    for rows, order, dim in coordinate_tensors(rng):
+        rows = rng.permutation(rows)
+        scale = rng.choice([1.0, 1e-310, 1e300])
+        tensor = SparseTensor(order, dim, rows, rng.normal(0.0, scale, rows.shape[0]))
+        feed(digest, (tensor.order, tensor.nnz, tensor._dense is not None))
+        kinds = product(range(1, order + 1), (0.0, 0.8, 1.0), (0.0, 0.15), range(2))
+        for open_mode, zeros, specials, _ in kinds:
+            vectors = []
+            for _ in range(order - 1):
+                work = rng.normal(0.0, rng.choice([1.0, 1e-310, 1e300]), dim)
+                zero = rng.random(dim) < zeros
+                work[zero] = rng.choice([0.0, -0.0], size=np.count_nonzero(zero))
+                special = rng.random(dim) < specials
+                work[special] = rng.choice(SPECIAL_FLOATS, size=np.count_nonzero(special))
+                vectors.append(work)
+            left, right = vectors[: open_mode - 1], vectors[open_mode - 1 :]
+            with np.errstate(over="ignore", invalid="ignore"):
+                feed(digest, partial_contraction(tensor, open_mode, left, right))
+
+
 SECTIONS = (
     ("models", feed_models),
     ("schedules", feed_schedules),
@@ -226,6 +266,7 @@ SECTIONS = (
     ("parse", feed_parse),
     ("bench", feed_bench),
     ("pulls", feed_pulls),
+    ("coordinate_pulls", feed_coordinate_pulls),
 )
 
 

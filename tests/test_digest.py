@@ -24,6 +24,7 @@ PINNED = {
     "parse": "70cba5cb76dd6ea3cf02defeb09c1d3e",
     "bench": "8b4e7a6c6dc820d9e4ee1fdeea84441f",
     "pulls": "87308a6199686acef29fd63ab57fb5a8",
+    "coordinate_pulls": "ef59ec5a5a52f88708979d477f35bacb",
 }
 
 

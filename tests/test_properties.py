@@ -1,18 +1,19 @@
 """Property tests, on inputs drawn by hypothesis.
 
-An order-2 tensor at least half full is held as one dense array.  Every
-property here compares such tensors, and the coordinate tensors the same
+An order-2 tensor at least half full is held as one dense array.  Most
+properties here compare such tensors, and the coordinate tensors the same
 rule leaves alone, with ``oracles.CooTensor``, the coordinate-form
-reference, bit for bit.  The draws are derandomized and nothing is written
-to disk, so every run of the same set of test modules checks the same
-examples.  Hypothesis also draws literals from the source it has loaded,
+reference, bit for bit; one compares the pulls of tensors of orders 1-4
+with the per-mode CSR reference.  The draws are derandomized and nothing
+is written to disk, so every run of the same set of test modules checks
+the same examples.  Hypothesis also draws literals from the source it has loaded,
 so running this module alone can check other examples than the whole
 suite does.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -87,9 +88,17 @@ def _work(draw, dim):
 
 
 def _tensors(case):
+    """The tensor of the drawn entries and its reference.  Repeated entries
+    whose sum overflows make no tensor, as no tensor holds an inf: such a
+    draw is checked to be refused, then rejected."""
     n1, n2, indices, values = case
     dim = n1 * n2
-    return SparseTensor(2, dim, indices, values), oracles.CooTensor(2, dim, indices, values)
+    ref = oracles.CooTensor(2, dim, indices, values)
+    if not np.all(np.isfinite(ref.values)):
+        with pytest.raises(ValueError, match="must be finite"):
+            SparseTensor(2, dim, indices, values)
+        reject()
+    return SparseTensor(2, dim, indices, values), ref
 
 
 def _same_array(got, want):
@@ -131,6 +140,40 @@ def test_pulls_are_the_reference_pulls(case, data):
         _same_array(got, want)
 
 
+@st.composite
+def _coordinate(draw):
+    """``(order, dim, indices, values)``: distinct entries of order 1-4 in
+    any order, over a grid that they fill sparsely or at least half."""
+    order = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, (9, 6, 4, 3)[order - 1]))
+    cells = dim**order
+    half = (cells + 1) // 2
+    count = draw(st.one_of(st.integers(1, half), st.integers(half, cells), st.just(cells)))
+    chosen = draw(st.permutations(range(cells)))[:count]
+    indices = np.stack(np.unravel_index(chosen, (dim,) * order), axis=1)
+    values = np.array(draw(st.lists(_VALUES, min_size=count, max_size=count)))
+    return order, dim, indices, values
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_coordinate(), st.data())
+def test_coordinate_pulls_are_the_per_mode_reference_pulls(case, data):
+    order, dim, indices, values = case
+    tensor = SparseTensor(order, dim, indices, values)
+    for open_mode in range(1, order + 1):
+        vectors = [_work(data.draw, dim) for _ in range(order - 1)]
+        left, right = vectors[: open_mode - 1], vectors[open_mode - 1 :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = partial_contraction(tensor, open_mode, left, right)
+            if tensor._half_operator() is None:
+                want = oracles.per_mode_partial_contraction(tensor, open_mode, left, right)
+            else:
+                # Exactly supersymmetric, as every order-3 tensor over one
+                # index is: the half operator serves the pull.
+                want = oracles.half_operator_partial_contraction(tensor, left, right)
+        _same_array(got, want)
+
+
 @_SETTINGS
 @given(_pairwise(), st.data())
 def test_forms_and_energies_are_the_reference_sums(case, data):
@@ -150,13 +193,6 @@ def test_forms_and_energies_are_the_reference_sums(case, data):
 @given(_pairwise(), st.data())
 def test_equality_is_equality_of_the_reference_entries(case, data):
     tensor, ref = _tensors(case)
-    if not np.all(np.isfinite(ref.values)):
-        # Repeated entries whose sum overflows: the tensor holds an inf,
-        # which no tensor may be given as an entry.
-        with pytest.raises(ValueError, match="finite"):
-            SparseTensor(2, ref.dim, ref.indices, ref.values)
-        assert tensor == SparseTensor(2, ref.dim, case[2], case[3])
-        return
     again = SparseTensor(2, ref.dim, ref.indices, ref.values)
     assert tensor == again and again == tensor
     assert tensor != SparseTensor(2, ref.dim + 1, ref.indices, ref.values)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -363,13 +364,13 @@ def test_two_solves_of_one_instance_build_each_operator_once(monkeypatch):
     values[0] = np.nextafter(values[0], np.inf)
     nudged = SparseTensor(3, third.dim, third.indices, values)
     nudged = replace(inst, potentials=inst.potentials[:2] + (nudged,))
-    # The supersymmetric tensor shares one operator among its three modes;
-    # one ulp off symmetry, each mode builds its own.
-    for instance, expected in ((inst, 1), (nudged, 3)):
+    # The supersymmetric tensor shares one half operator among its three
+    # modes; one ulp off symmetry, they share its index columns.
+    for instance, expected in ((inst, ["half"]), (nudged, ["columns"])):
         built = operator_builds(monkeypatch)
         for variant in (Variant.ADGM1, Variant.ADGM2):
             solve(instance, SolverConfig(variant=variant, max_iter=5))
-        assert len(built) == expected
+        assert built == expected
         monkeypatch.undo()
 
 
@@ -384,14 +385,15 @@ def test_a_model_c_solve_builds_one_operator(monkeypatch, variant):
     nudged = replace(inst, potentials=(inst.potentials[0], nudged))
     # The symmetric pairwise tensor's dense array is the one operator of
     # both its modes; one ulp off symmetry, mode 1 has its own transposed
-    # copy.  Neither builds a per-mode operator.
+    # copy.  Neither caches index columns.
     for instance, expected in ((inst, 1), (nudged, 2)):
         built = operator_builds(monkeypatch)
         solve(instance, SolverConfig(variant=variant, max_iter=5))
         monkeypatch.undo()
         assert built == []
         cache = instance.potentials[1]._contract_cache
-        assert len({id(cache[m][0]) for m in (1, 2)}) == expected
+        assert "columns" not in cache
+        assert len({id(cache[m]) for m in (1, 2)}) == expected
 
 
 def test_first_model_c_solve_peaks_below_one_and_a_half_tensors():
@@ -662,6 +664,20 @@ def test_to_minimization_pinned_values():
     # the mapped values of the stored entries are exactly v_max - v
     for idx, value in inst.potentials[0].items():
         assert energy(converted, np.eye(4)[idx[0]]) == 3.0 - value
+
+
+def test_to_minimization_refuses_potentials_wider_than_the_float_range():
+    # v_max - v overflows for the pairwise entry -1e308 when v_max is the
+    # unary 1e308: the refusal names the instance's range, not the tensor
+    # it would build, and no overflow warning comes first.
+    spec = ConstraintSpec(2, 2)
+    unary = SparseTensor(1, 4, [[0], [2]], [1e308, -1.0])
+    pair = SparseTensor(2, 4, [[0, 3], [1, 2]], [4.0, -1e308])
+    inst = MatchingInstance(2, 2, (unary, pair), spec, Sense.MAXIMIZE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range.*must be finite"):
+            to_minimization(inst)
 
 
 def test_to_minimization_equal_entries_become_zero():

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -43,6 +44,29 @@ def test_canonicalization_is_idempotent():
 def test_entries_cancelling_to_zero_are_dropped():
     t = SparseTensor(1, 2, [(0,), (0,)], [1.5, -1.5])
     assert t.nnz == 0
+
+
+@pytest.mark.parametrize(
+    "order, dim, indices, values",
+    [
+        (2, 3, [[0, 0], [1, 2], [0, 0]], [1e308, 1.0, 1e308]),
+        (2, 2, [[0, 0], [0, 1], [1, 0], [0, 0]], [-1e308, 1.0, 2.0, -1e308]),
+        (3, 3, [[0, 1, 2], [1, 1, 1], [0, 1, 2]], [1.5e308, 1.0, 0.5e308]),
+        (0, 4, [[], []], [1e308, 1e308]),
+    ],
+    ids=["coordinate-order-2", "dense-held-order-2", "order-3", "order-0"],
+)
+def test_a_merged_sum_that_overflows_is_refused(order, dim, indices, values):
+    # Each value is finite, but the repeated entries sum past the float range.
+    indices = np.array(indices, dtype=np.int64).reshape(len(values), order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            SparseTensor(order, dim, indices, values)
+    # One repeat less leaves a finite tensor, held as the rule says.
+    t = SparseTensor(order, dim, indices[:-1], values[:-1])
+    assert np.all(np.isfinite(t.values))
+    assert (t._dense is not None) == (dim == 2)
 
 
 def test_from_entries_accepts_dict_and_pairs():
@@ -637,9 +661,9 @@ def _closed_vector(rng, dim, kind):
 @pytest.mark.parametrize("layout", ["dense", "sparse"])
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_both_operator_layouts_are_bit_equal_to_the_csr_reference(order, layout):
-    # A dense operator skips the rows of zero work and adds the rest with
-    # einsum; that is bit-equal to a compressed matrix only while einsum's
-    # kernel adds each unfused product in column order.
+    # Grids at least half full and sparse ones.  A coordinate tensor's pulls
+    # go through its entries, one np.bincount over the index columns that
+    # every mode shares; the order-2 grid at least half full is dense-held.
     rng = np.random.default_rng(90 + order)
     dim = {2: 9, 3: 5, 4: 4}[order] if layout == "dense" else 12
     for _ in range(12):
@@ -650,9 +674,9 @@ def test_both_operator_layouts_are_bit_equal_to_the_csr_reference(order, layout)
             t = SparseTensor(order, dim, rows, rng.normal(0.0, scale, rows.shape[0]))
         else:
             t = random_sparse_tensor(rng, order, dim, nnz=3 * dim, scale=scale)
+        held = order == 2 and layout == "dense"
+        assert (t._dense is not None) == held and t._half_operator() is None
         for open_mode in range(1, order + 1):
-            op, _ = t._contraction_operator(open_mode)
-            assert isinstance(op, np.ndarray) == (layout == "dense")
             for kind in ("zero", "signed-zero", "full", "non-finite"):
                 vectors = [_closed_vector(rng, dim, kind) for _ in range(order - 1)]
                 left, right = vectors[: open_mode - 1], vectors[open_mode - 1 :]
@@ -661,6 +685,10 @@ def test_both_operator_layouts_are_bit_equal_to_the_csr_reference(order, layout)
                     expected = oracles.per_mode_partial_contraction(t, open_mode, left, right)
                 assert got.dtype == np.float64
                 assert got.tobytes() == expected.tobytes()
+        if not held:
+            columns = t._contract_cache["columns"]
+            assert columns.shape == (order, t.nnz) and columns.flags.c_contiguous
+            assert np.array_equal(columns, t.indices.T)
 
 
 def _symmetric_pair_tensor(rng, dim, missing=None):
@@ -685,7 +713,8 @@ def test_symmetric_dense_order2_tensor_shares_one_operator(monkeypatch, case, op
     # An order-2 tensor at least half full is held as one dense array, which
     # is mode 2's operator.  Exactly symmetric, it is mode 1's too, whether
     # or not every index holds an entry; one ulp off symmetry, mode 1 makes
-    # its own contiguous transpose.  Neither builds a per-mode operator.
+    # its own contiguous transpose.  A non-finite work vector takes the
+    # entries, made for that pull, so neither caches index columns.
     rng = np.random.default_rng(31)
     dims = {"symmetric": (1, 2, 5, 9), "one-ulp-off": (2, 5, 9), "index-missing": (5, 9)}
     for dim in dims[case]:
@@ -707,15 +736,16 @@ def test_symmetric_dense_order2_tensor_shares_one_operator(monkeypatch, case, op
                 assert got.tobytes() == expected.tobytes()
         monkeypatch.undo()
         assert built == []
-        first, second = (t._contract_cache[m][0] for m in (1, 2))
+        assert "columns" not in t._contract_cache
+        first, second = (t._contract_cache[m] for m in (1, 2))
         assert second is t._dense and first.flags.c_contiguous
         assert len({id(first), id(second)}) == operators
 
 
 @pytest.mark.parametrize("order, dim, nnz", [(3, 1100, 4000), (4, 110, 4000)])
 def test_pulls_beyond_the_old_cap_match_the_gather_reference(order, dim, nnz):
-    # One column per possible closed-index combination would need
-    # dim**(order-1) > 2**20 columns; the operator has one per stored row.
+    # A dense work vector over every closed-index combination would need
+    # dim**(order-1) > 2**20 entries; the pull reads only the stored ones.
     rng = np.random.default_rng(9)
     t = random_sparse_tensor(rng, order, dim, nnz=nnz)
     assert dim ** (order - 1) > 1 << 20
@@ -725,13 +755,13 @@ def test_pulls_beyond_the_old_cap_match_the_gather_reference(order, dim, nnz):
         got = partial_contraction(t, open_mode, left, right)
         expected = oracles.gather_partial_contraction(t, open_mode, left, right)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-        assert t._contract_cache[open_mode][1][0].size <= t.nnz
+        assert t._contract_cache["columns"].shape == (order, t.nnz)
 
 
 def test_closed_rows_beyond_int64_keys_match_an_entry_loop():
-    # (2**21 + 1)**3 > 2**63, so the closed-mode rows of this order-4 tensor
-    # are ranked by _unique_rows' row sort.  Copy m of the first row differs
-    # from it only in mode m, so with mode m open the two share a column.
+    # (2**21 + 1)**3 > 2**63, so no int64 key holds the closed-mode rows of
+    # this order-4 tensor.  Copy m of the first row differs from it only in
+    # mode m, so with mode m open the two share their closed indices.
     rng = np.random.default_rng(15)
     dim = (1 << 21) + 1
     base = rng.integers(0, dim, size=(4, 4))
@@ -750,7 +780,7 @@ def test_closed_rows_beyond_int64_keys_match_an_entry_loop():
                 [v[i] for v, i in zip(vectors, closed)]
             )
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
-        assert t._contract_cache[open_mode][1][0].size == 7
+        assert t._contract_cache["columns"].shape == (4, 8)
 
 
 def test_partial_contraction_validates_lengths():
@@ -803,7 +833,7 @@ def test_supersymmetric_order3_contracts_through_one_half_operator(monkeypatch, 
         monkeypatch.undo()
         # One set of entries for all modes: only b <= c, grouped by column
         # b * dim + c, with the rows a ascending inside each column.
-        assert len(built) == 1
+        assert built == ["half"]
         starts, rows, values = t._contract_cache["half"]
         a, b, c = t.indices.T
         keep = b <= c
@@ -969,7 +999,7 @@ def _off_symmetry(rng, dim, kind):
 
 
 @pytest.mark.parametrize("kind", ["missing-copy", "one-ulp-off"])
-def test_tensor_off_symmetry_keeps_the_per_mode_operators(monkeypatch, kind):
+def test_tensor_off_symmetry_takes_the_entries_pull(monkeypatch, kind):
     rng = np.random.default_rng(11)
     for dim in (2, 4, 7):
         t = _off_symmetry(rng, dim, kind)
@@ -981,11 +1011,11 @@ def test_tensor_off_symmetry_keeps_the_per_mode_operators(monkeypatch, kind):
             expected = oracles.per_mode_partial_contraction(t, open_mode, left, right)
             assert got.tobytes() == expected.tobytes()
         monkeypatch.undo()
-        assert len(built) == 3
+        assert built == ["columns"]
         assert t._contract_cache["half"] is None
 
 
-def test_supersymmetric_tensor_beyond_the_cap_takes_the_per_mode_operators(monkeypatch):
+def test_supersymmetric_tensor_beyond_the_cap_takes_the_entries_pull(monkeypatch):
     rng = np.random.default_rng(12)
     dim = 6
     t = _orbit_tensor(rng, dim)
@@ -996,7 +1026,7 @@ def test_supersymmetric_tensor_beyond_the_cap_takes_the_per_mode_operators(monke
         got = partial_contraction(t, open_mode, left, right)
         expected = oracles.per_mode_partial_contraction(t, open_mode, left, right)
         assert got.tobytes() == expected.tobytes()
-    assert len(built) == 3
+    assert built == ["columns"]
     assert t._contract_cache["half"] is None
 
 
