@@ -14,6 +14,7 @@ import logging
 import time
 from dataclasses import dataclass, replace
 from math import cos, sin
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,11 @@ class ExperimentConfig:
             raise ValueError(f"sweep must be one of {_SWEEPS}, got {self.sweep!r}")
         if not self.values:
             raise ValueError("at least one sweep value is required")
+        for name in ("inliers", "total", "trials", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not self.noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         repeated = _repeated(self.values)
         if repeated:
             raise ValueError(f"sweep value {repeated[0]} is listed more than once")
@@ -177,6 +183,8 @@ class ExperimentConfig:
         if repeated:
             raise ValueError(f"method {repeated[0]!r} is listed more than once")
         for value in self.values:
+            if not isinstance(value, Integral):
+                raise ValueError(f"sweep value {value!r} is not an integer")
             n_inliers, n_outliers = self.resolve_sizes(value)
             if n_inliers < 1 or n_outliers < 0:
                 raise ValueError(

@@ -162,6 +162,9 @@ def build_pairwise_a(
     ``unary_offset`` (a large offset discourages occlusion).  Edges left
     out are the Delaunay edges of their set; a unary left out is zero.
     """
+    for name, value in (("sigma_l", sigma_l), ("sigma_a", sigma_a)):
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
     pts1 = _as_points(points1)
     pts2 = _as_points(points2)
     n1, n2 = pts1.shape[0], pts2.shape[0]
@@ -247,6 +250,8 @@ def build_pairwise_b(points1, points2, sigma2=2500.0, spec=None, ground_truth=No
     """Fully connected length-preservation affinity (maximization):
     ``exp(-|d1 - d2| / sigma2)`` for every ordered node pair of each set;
     unaries zero."""
+    if not sigma2 > 0:
+        raise ValueError(f"sigma2 must be > 0, got {sigma2}")
 
     def score(d1, d2, dots):
         return np.exp(-np.abs(d1[:, None] - d2[None, :]) / sigma2)
@@ -340,11 +345,8 @@ def _orbit_keys(columns, n):
     ``n**3`` fits int64, as no set whose triples can be listed reaches it."""
     m = columns[0].shape[0]
     keys = np.empty(6 * m, dtype=np.int64)
-    for block, (a, b, c) in zip(keys.reshape(6, m), permutations(columns)):
-        np.multiply(a, n, out=block)
-        block += b
-        block *= n
-        block += c
+    for block, permuted in zip(keys.reshape(6, m), permutations(columns)):
+        block[:] = np.ravel_multi_index(permuted, (n, n, n))
     return keys
 
 
@@ -354,7 +356,7 @@ def build_third_order(
     knn=300,
     triangle_budget=5000,
     gamma=None,
-    seed=None,
+    seed=0,
     spec=None,
     ground_truth=None,
 ):
@@ -484,31 +486,18 @@ def build_model(model, points1, points2, **params):
     )
 
 
-def _circumcircle(a, b, c):
-    """Center and squared radius of the circle through three points."""
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if d == 0.0:
-        return None
-    asq = a[0] ** 2 + a[1] ** 2
-    bsq = b[0] ** 2 + b[1] ** 2
-    csq = c[0] ** 2 + c[1] ** 2
-    ux = (asq * (b[1] - c[1]) + bsq * (c[1] - a[1]) + csq * (a[1] - b[1])) / d
-    uy = (asq * (c[0] - b[0]) + bsq * (a[0] - c[0]) + csq * (b[0] - a[0])) / d
-    r2 = (a[0] - ux) ** 2 + (a[1] - uy) ** 2
-    return (ux, uy), r2
-
-
 def _orientation(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 def _properly_cross(p1, p2, p3, p4):
-    """True when segments p1p2 and p3p4 intersect at an interior point."""
+    """Where segments p1p2 and p3p4 intersect at an interior point; each
+    point is an (x, y) pair of arrays that broadcast together."""
     o1 = _orientation(p1, p2, p3)
     o2 = _orientation(p1, p2, p4)
     o3 = _orientation(p3, p4, p1)
     o4 = _orientation(p3, p4, p2)
-    return o1 * o2 < 0 and o3 * o4 < 0
+    return (o1 * o2 < 0) & (o3 * o4 < 0)
 
 
 def delaunay_edges(points):
@@ -518,47 +507,49 @@ def delaunay_edges(points):
     inside is a candidate triangle; candidates are accepted greedily in
     lexicographic vertex order, rejecting any whose edges properly cross
     an accepted edge (this resolves cocircular ties deterministically).
-    O(n^4); fine for the point counts this package targets.  If all
-    points are collinear, or there are only two, returns the path along
-    the sorted order.
+    Both tests are array arithmetic, over blocks of triples and over all
+    accepted edges at once.  If all points are collinear, or there are
+    only two, returns the path along the sorted order.
     """
     pts = _as_points(points, min_count=2)
-    n = pts.shape[0]
-
-    candidates = []
-    for i, j, k in combinations(range(n), 3):
-        circle = _circumcircle(pts[i], pts[j], pts[k])
-        if circle is None:
-            continue
-        (cx, cy), r2 = circle
-        others = np.delete(np.arange(n), [i, j, k])
-        d2 = (pts[others, 0] - cx) ** 2 + (pts[others, 1] - cy) ** 2
-        if np.all(d2 >= r2 * (1.0 - 1e-9)):
-            candidates.append((i, j, k))
-
-    if not candidates:
-        # All triples collinear: connect the points along their sorted order.
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        return sorted(
-            (min(int(a), int(b)), max(int(a), int(b)))
-            for a, b in zip(order[:-1], order[1:])
-        )
-
-    accepted_edges = set()
-    for i, j, k in candidates:
-        tri_edges = [(i, j), (i, k), (j, k)]
-        crosses = False
-        for a, b in tri_edges:
-            if (a, b) in accepted_edges:
+    x, y = pts.T
+    triples = np.fromiter(combinations(range(len(x)), 3), dtype=np.dtype((np.intp, 3)))
+    keep = np.empty(triples.shape[0], dtype=bool)
+    # Blocks of at most ~2**15 point distances keep the tables to ~256 kB.
+    step = max(1, (1 << 15) // len(x))
+    # Only comparisons are read: a circle that overflows or is undefined
+    # (d == 0) is no candidate, and a product of orientations keeps its sign.
+    with np.errstate(all="ignore"):
+        # The circle's squares of scalars take libm's pow, as a scalar's
+        # ** 2 does; it can round apart from the array square x * x.
+        sq = np.float_power(x, 2.0) + np.float_power(y, 2.0)
+        for lo in range(0, triples.shape[0], step):
+            i, j, k = block = triples[lo : lo + step].T
+            (ax, ay), (bx, by), (cx, cy) = pts[i].T, pts[j].T, pts[k].T
+            d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+            ux = (sq[i] * (by - cy) + sq[j] * (cy - ay) + sq[k] * (ay - by)) / d
+            uy = (sq[i] * (cx - bx) + sq[j] * (ax - cx) + sq[k] * (bx - ax)) / d
+            r2 = np.float_power(ax - ux, 2.0) + np.float_power(ay - uy, 2.0)
+            d2 = (x - ux[:, None]) ** 2 + (y - uy[:, None]) ** 2
+            outside = d2 >= (r2 * (1.0 - 1e-9))[:, None]
+            # A triple's own points are not tested.
+            np.put_along_axis(outside, block.T, True, axis=1)
+            keep[lo : lo + step] = (d != 0.0) & outside.all(axis=1)
+        candidates = triples[keep]
+        # accepted[i, j] marks the accepted edge (i, j), i < j.
+        accepted = np.zeros((len(x), len(x)), dtype=bool)
+        if candidates.shape[0] == 0:
+            # All triples collinear: connect the points along their sorted order.
+            order = np.lexsort((y, x))
+            accepted[tuple(np.sort([order[:-1], order[1:]], axis=0))] = True
+        for i, j, k in candidates.tolist():
+            new = [e for e in ((i, j), (i, k), (j, k)) if not accepted[e]]
+            if not new:
                 continue
-            for c, d in accepted_edges:
-                if len({a, b, c, d}) == 4 and _properly_cross(
-                    pts[a], pts[b], pts[c], pts[d]
-                ):
-                    crosses = True
-                    break
-            if crosses:
-                break
-        if not crosses:
-            accepted_edges.update(tri_edges)
-    return sorted(accepted_edges)
+            a, b = np.array(new).T[:, :, None]
+            c, d = accepted.nonzero()
+            # Edges that share an endpoint do not cross.
+            apart = (a != c) & (a != d) & (b != c) & (b != d)
+            if not np.any(apart & _properly_cross(*(pts.T[:, e] for e in (a, b, c, d)))):
+                accepted[a, b] = True
+    return list(map(tuple, np.argwhere(accepted).tolist()))

@@ -17,6 +17,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -130,6 +131,9 @@ class SolverConfig:
         self.validate()
 
     def validate(self):
+        for name, value in (("t1", self.t1), ("t2", self.t2), ("max_iter", self.max_iter)):
+            if not isinstance(value, Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.rho0 is not None and not self.rho0 > 0:
             raise ConfigurationError(f"rho0 must be > 0, got {self.rho0}")
         if not self.beta > 1:

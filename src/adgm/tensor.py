@@ -55,9 +55,9 @@ _MATVEC_CAP = 1 << 20
 # used last.  A solve's late pulls mostly repeat a recent support.
 _PLANS = 8
 
-# Mixed-radix index keys run over [0, dim**order); int64 holds them while
-# dim**order is at most this.  Larger tensors sort their index rows as rows.
-_KEY_LIMIT = 1 << 63
+# Mixed-radix index keys run over [0, dim**order); np.ravel_multi_index makes
+# them while dim**order fits intp.  Larger tensors sort their rows as rows.
+_KEY_LIMIT = np.iinfo(np.intp).max
 
 # Entries that a pass over a tensor's values reads at once where it walks
 # them in chunks, so that its temporaries stay a fraction of the tensor.
@@ -478,15 +478,11 @@ def _sorted_runs(key):
 def _row_keys(order, dim, indices, modes=None):
     """Mixed-radix int64 key of every index row, reading the row's modes in
     the order ``modes`` (all, in order, by default), or None when
-    ``dim**order`` does not fit in int64."""
+    ``dim**order`` exceeds the largest intp."""
     if dim**order > _KEY_LIMIT:
         return None
-    first, *rest = range(order) if modes is None else modes
-    key = indices[:, first].copy()
-    for m in rest:
-        key *= dim
-        key += indices[:, m]
-    return key
+    columns = tuple(indices[:, m] for m in modes or range(order))
+    return np.ravel_multi_index(columns, (dim,) * order)
 
 
 def _is_supersymmetric(tensor):
@@ -543,8 +539,8 @@ def _half_entries(tensor):
     x, y, values = x[keep], y[keep], tensor.values[keep]
     # In place, 0.5 * v has the bits of v * 0.5.
     np.multiply(values, 0.5, out=values, where=x == y)
-    x *= dim
-    x += y
+    # The column keys replace x, which is freed before the bincount.
+    x = np.ravel_multi_index((x, y), (dim, dim))
     starts = np.zeros(dim**2 + 1, dtype=np.intp)
     np.cumsum(np.bincount(x, minlength=dim**2), out=starts[1:])
     return starts, z[keep].astype(np.intp, copy=False), values

@@ -10,7 +10,7 @@ The first line is the digest of all sections together; then follows one
 one section shows every other one unchanged.  It imports the ``adgm``
 package of the checkout it lives in and hashes, section by section
 (models, schedules, random, hungarian, injective, parse, bench, pulls,
-coordinate_pulls):
+coordinate_pulls, delaunay):
 
 - every ``SolverResult`` field except ``wall_time``, traced, for both
   variants, on models a, b, c and third (seeds 0-2, 6 inliers plus 2
@@ -35,7 +35,12 @@ coordinate_pulls):
   orders 1-4, sparse ones and ones at least half full (an order-2 one held
   as a dense array, another with its entries in a few full columns), for
   work vectors with +-0.0, subnormal, huge, infinite and NaN entries, all
-  zero, mostly zero or without zeros.
+  zero, mostly zero or without zeros;
+- ``delaunay_edges`` on uniform sets of 2-20, 25, 30, 40 and 60 points, a
+  6 x 5 grid and scaled, shifted and rotated copies of it, collinear points
+  (exactly and up to rounding), near-duplicate, cocircular (with and
+  without the centre) and repeated points, and coordinates scaled by 1e80,
+  1e150 and 1e-150.
 
 Floats are hashed bit for bit, so a digest depends on the platform and
 its numpy build: compare digests taken on one machine.  Pytest does not
@@ -64,7 +69,7 @@ from adgm.cli import main as cli_main  # noqa: E402
 from adgm.constraints import ConstraintSpec, SideMode  # noqa: E402
 from adgm.discretize import brute_force_optimum, hungarian  # noqa: E402
 from adgm.harness import generate_synthetic  # noqa: E402
-from adgm.models import MODELS, build_model  # noqa: E402
+from adgm.models import MODELS, build_model, delaunay_edges  # noqa: E402
 from adgm.solver import MatchingInstance, Sense, SolverConfig, Variant, solve  # noqa: E402
 from adgm.tensor import SparseTensor, partial_contraction, symmetrize  # noqa: E402
 
@@ -257,6 +262,35 @@ def feed_coordinate_pulls(digest):
                 feed(digest, partial_contraction(tensor, open_mode, left, right))
 
 
+def delaunay_point_sets(rng):
+    """Point sets that exercise the empty-circle test and the cocircular
+    tie rule of ``delaunay_edges``, degenerate sets included."""
+    for n in (*range(2, 21), 25, 30, 40, 60):
+        yield rng.random((n, 2))
+    grid = np.indices((6, 5)).reshape(2, -1).T.astype(np.float64)
+    turn = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    yield from (grid, grid * 3.7, grid + [12.5, -4.25], grid @ turn.T)
+    # Collinear exactly, and up to rounding.
+    yield np.arange(8)[:, None] * [2.0, 1.0] + [1.0, 3.0]
+    yield np.linspace(0.0, 1.0, 8)[:, None] * [2.0, 1.0] + [1.0, 3.0]
+    base = rng.random((13, 2))
+    yield np.concatenate([base, base[:12] + rng.normal(0.0, 1e-12, (12, 2))])
+    angles = 2.0 * np.pi * np.arange(12) / 12
+    circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    yield from (circle, np.concatenate([circle, [[0.0, 0.0]]]))
+    points = rng.random((10, 2))
+    yield from (points[[0, 1, 2, 3, 1, 4, 5, 6, 0, 7, 8, 9, 3]], np.ones((4, 2)))
+    # Crossing tests overflow near 1e80; circles near 1e120.
+    points = rng.random((12, 2))
+    yield from (points * 1e80, points * 1e150, points * 1e-150)
+
+
+def feed_delaunay(digest):
+    rng = np.random.default_rng(1405)
+    for points in delaunay_point_sets(rng):
+        feed(digest, delaunay_edges(points))
+
+
 SECTIONS = (
     ("models", feed_models),
     ("schedules", feed_schedules),
@@ -267,6 +301,7 @@ SECTIONS = (
     ("bench", feed_bench),
     ("pulls", feed_pulls),
     ("coordinate_pulls", feed_coordinate_pulls),
+    ("delaunay", feed_delaunay),
 )
 
 

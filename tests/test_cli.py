@@ -236,6 +236,19 @@ class TestBuild:
         assert instance.potentials[2].order == 3
         assert instance.potentials[2].nnz > 0
 
+    def test_third_order_builds_without_a_seed_are_byte_identical(self, tmp_path):
+        # 455 source triangles, so the budget of 50 samples them.
+        paths = []
+        for name in ("one", "two"):
+            (tmp_path / name).mkdir()
+            paths.append(
+                _gen_and_build(
+                    tmp_path / name, model="third", inliers=12, outliers=3,
+                    extra=("--triangles", "50"),
+                )
+            )
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
 
 class TestSolve:
     def test_prints_report_and_writes_solution_and_trace(self, tmp_path, capsys):

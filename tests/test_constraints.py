@@ -290,6 +290,13 @@ def test_projection_outputs_are_feasible_for_their_set():
         assert np.all(cols.sum(axis=0) <= 1.0 + 1e-12)
 
 
+def test_feasibility_refuses_x_of_the_wrong_length():
+    spec = ConstraintSpec.injective(2, 3)
+    for x in (np.ones(5), np.ones(7), np.ones((2, 3))):
+        with pytest.raises(ValueError, match=re.escape("x must have shape (6,)")):
+            feasibility(x, spec)
+
+
 def test_size_mismatch_rejected():
     spec = ConstraintSpec(2, 2)
     with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ PINNED = {
     "bench": "8b4e7a6c6dc820d9e4ee1fdeea84441f",
     "pulls": "87308a6199686acef29fd63ab57fb5a8",
     "coordinate_pulls": "ef59ec5a5a52f88708979d477f35bacb",
+    "delaunay": "4ad35cd66c860f558d126be951fee5cf",
 }
 
 

@@ -150,6 +150,31 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="model third does not take 'eta'"):
             ExperimentConfig(model="third", values=(0,), eta=0.5)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(values=(0.5,)), "sweep value 0.5 is not an integer"),
+            (dict(values=(0, 2.0)), "sweep value 2.0 is not an integer"),
+            (dict(inliers=4.5), "inliers must be an integer, got 4.5"),
+            (dict(total=30.0, sweep="subset"), "total must be an integer, got 30.0"),
+            (dict(trials=1.5), "trials must be an integer, got 1.5"),
+            (dict(seed=0.5), "seed must be an integer, got 0.5"),
+            (dict(noise_sigma=-1.0), "noise_sigma must be >= 0, got -1.0"),
+            (dict(noise_sigma=math.nan), "noise_sigma must be >= 0, got nan"),
+        ],
+    )
+    def test_refuses_a_bad_setting_before_any_work(self, tmp_path, kwargs, message):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(ExperimentConfig(**{"model": "c", "values": (0,), **kwargs}), out)
+        assert not out.exists()
+
+    def test_takes_numpy_integers(self):
+        config = ExperimentConfig(
+            model="c", values=(np.int64(0), 1), inliers=np.int64(4), trials=np.int32(2)
+        )
+        assert config.resolve_sizes(config.values[0]) == (4, 0)
+
 
 class TestReadExperimentConfig:
     def test_full_file(self, tmp_path):

@@ -1,7 +1,9 @@
 """Tests for the geometric model builders and their helpers."""
 
 import math
+import re
 import tracemalloc
+import warnings
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -9,17 +11,19 @@ import oracles
 import pytest
 import scipy.spatial
 
-from adgm.constraints import assignment_index
+from adgm.constraints import ConstraintSpec, assignment_index
 from adgm.discretize import brute_force_optimum
 from adgm import tensor as tensor_module
 from adgm.harness import Transform, generate_synthetic
 from adgm.models import (
+    MODELS,
     _pair_values,
     _segment_table,
     _triangle_features,
     build_pairwise_a,
     build_pairwise_b,
     build_pairwise_c,
+    build_model,
     build_third_order,
     delaunay_edges,
     pair_geometry,
@@ -238,8 +242,21 @@ class TestModelA:
         with pytest.raises(ValueError, match="unary"):
             build_pairwise_a(pts, pts, [(0, 1)], [(0, 1)], np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("name", ["sigma_l", "sigma_a"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_refuses_a_scale_that_is_not_positive(self, name, bad):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=f"{name} must be > 0, got {bad}"):
+            build_pairwise_a(pts, pts, **{name: bad})
+
 
 class TestModelB:
+    @pytest.mark.parametrize("bad", [0.0, -2500.0, np.nan])
+    def test_refuses_a_scale_that_is_not_positive(self, bad):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=f"sigma2 must be > 0, got {bad}"):
+            build_pairwise_b(pts, pts, sigma2=bad)
+
     def test_equal_lengths_score_one(self):
         pts = np.array([[0.0, 0.0], [7.0, 0.0]])
         inst = build_pairwise_b(pts, pts)
@@ -639,6 +656,46 @@ class TestDelaunayEdges:
     def test_requires_two_points(self):
         with pytest.raises(ValueError, match="points"):
             delaunay_edges(np.array([[0.0, 0.0]]))
+
+    @pytest.mark.parametrize("scale", [1e80, 1e150, 1e-150])
+    def test_coordinates_near_the_float_range_warn_nothing(self, scale):
+        pts = np.random.default_rng(8).random((12, 2)) * scale
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = delaunay_edges(pts)
+        assert len(edges) >= 11
+        assert np.geterr() == before
+
+
+class TestBuilderInputs:
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (4, 2, 1)])
+    def test_points_not_shaped_n_by_2_are_refused(self, model, shape):
+        good = np.random.default_rng(9).random((4, 2))
+        bad = np.ones(shape)
+        message = re.escape(f"points must have shape (n, 2), got {shape}")
+        for points1, points2 in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match=message):
+                build_model(model, points1, points2)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_coordinate_is_refused(self, model, special):
+        good = np.random.default_rng(9).random((4, 2))
+        bad = good.copy()
+        bad[2, 1] = special
+        for points1, points2 in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="point coordinates must be finite"):
+                build_model(model, points1, points2)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_spec_whose_sizes_differ_from_the_points_is_refused(self, model):
+        rng = np.random.default_rng(9)
+        points1, points2 = rng.random((4, 2)), rng.random((5, 2))
+        for spec in (ConstraintSpec.injective(*sizes) for sizes in ((5, 4), (4, 4), (4, 6))):
+            with pytest.raises(ValueError, match="spec sizes must match the point sets"):
+                build_model(model, points1, points2, spec=spec)
 
 
 def _small_instances(rng):

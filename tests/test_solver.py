@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -50,6 +51,10 @@ def unary_instance(values, spec, sense=Sense.MINIMIZE):
         dict(t2=0),
         dict(eps=0.0),
         dict(max_iter=0),
+        dict(t1=300.5),
+        dict(t2=2.5),
+        dict(max_iter=2.5),
+        dict(max_iter="50"),
     ],
 )
 def test_config_validation(kwargs):
@@ -64,6 +69,13 @@ def test_variant_parse():
         Variant.parse("adgm3")
 
 
+def test_config_counts_are_integers():
+    with pytest.raises(ConfigurationError, match=re.escape("t1 must be an integer, got 300.5")):
+        SolverConfig(t1=300.5)
+    config = SolverConfig(t1=np.int64(20), t2=np.int32(5), max_iter=np.int64(30))
+    assert (config.t1, config.t2, config.max_iter) == (20, 5, 30)
+
+
 def test_instance_validation():
     spec = ConstraintSpec(2, 2)
     good = SparseTensor.empty(1, 4)
@@ -75,6 +87,15 @@ def test_instance_validation():
         MatchingInstance(2, 2, (good,), ConstraintSpec(3, 3))
     with pytest.raises(ValueError):
         MatchingInstance(2, 2, (good,), spec, ground_truth=np.full(4, 0.5))
+    with pytest.raises(ValueError, match="n1 and n2 must be >= 1"):
+        MatchingInstance(0, 2, (good,), spec)
+    with pytest.raises(ValueError, match="at least an order-1 potential slot"):
+        MatchingInstance(2, 2, (), spec)
+    with pytest.raises(TypeError, match="potentials must be SparseTensor instances"):
+        MatchingInstance(2, 2, (np.zeros(4),), spec)
+    for truth in (np.ones(3), np.zeros(5), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match=re.escape("ground_truth must have shape (4,)")):
+            MatchingInstance(2, 2, (good,), spec, ground_truth=truth)
 
 
 # -- energy ---------------------------------------------------------------

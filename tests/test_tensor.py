@@ -126,9 +126,11 @@ def _sort_spies(monkeypatch):
     return calls
 
 
+# 2**65 overflows int64; (2**21 - 1)**3 is the largest order-3 key range
+# np.ravel_multi_index takes, as (2**21)**3 = 2**63 exceeds the largest intp.
 @pytest.mark.parametrize(
     "order, dim, row_sort",
-    [(5, 1 << 13, True), (3, 1 << 21, False)],
+    [(5, 1 << 13, True), (3, (1 << 21) - 1, False)],
     ids=["key-overflows-int64", "key-fills-int64"],
 )
 def test_key_range_selects_the_sort(monkeypatch, order, dim, row_sort):
@@ -250,6 +252,7 @@ def test_immutable():
     "kwargs",
     [
         dict(order=-1, dim=2),
+        dict(order=1, dim=-1),
         dict(order=2, dim=2, indices=[(0, 2)], values=[1.0]),  # index out of range
         dict(order=2, dim=2, indices=[(0,)], values=[1.0]),  # wrong arity
         dict(order=1, dim=2, indices=[(0,)], values=[np.nan]),
@@ -259,6 +262,14 @@ def test_immutable():
 def test_construction_errors(kwargs):
     with pytest.raises(ValueError):
         SparseTensor(**kwargs)
+
+
+@pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan])
+def test_a_dense_array_holding_a_non_finite_cell_is_refused(special):
+    dense = np.zeros((3, 3))
+    dense[1, 2] = special
+    with pytest.raises(ValueError, match="tensor values must be finite"):
+        SparseTensor._from_dense(dense)
 
 
 @pytest.mark.parametrize("bad", [1.7, -0.5, 2.0**70, np.inf, np.nan])
@@ -570,6 +581,13 @@ def test_mode_product_validates_mode():
         mode_product(t, 3, np.ones(3))
 
 
+def test_mode_product_refuses_a_vector_of_the_wrong_length():
+    t = SparseTensor.from_entries(2, 3, {(0, 2): 1.0})
+    for vector in (np.ones(2), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ValueError, match=re.escape("vector must have shape (3,)")):
+            mode_product(t, 1, vector)
+
+
 @pytest.mark.parametrize("mode", [1.5, 2.0, "2", None])
 def test_non_integer_modes_are_refused_by_name(mode):
     t = symmetrize(SparseTensor.from_entries(3, 3, {(0, 1, 2): 1.0}))
@@ -790,6 +808,13 @@ def test_partial_contraction_validates_lengths():
         partial_contraction(t, 2, [], [ones])
     with pytest.raises(ValueError):
         partial_contraction(t, 4, [ones, ones, ones], [])
+    with pytest.raises(ValueError, match="expected 1 right vectors, got 2"):
+        partial_contraction(t, 2, [ones], [ones, ones])
+    with pytest.raises(ValueError, match="expected 2 right vectors, got 0"):
+        partial_contraction(t, 1, [], [])
+    for short in ([ones], [np.ones(3)]), ([np.ones(1)], [ones]):
+        with pytest.raises(ValueError, match=re.escape("vectors must have shape (2,)")):
+            partial_contraction(t, 2, *short)
 
 
 # -- one half-size operator for a supersymmetric order-3 tensor ------------
