@@ -52,9 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_gen(args):
-    transform = Transform(rotation=args.rotation, scale=args.scale, tx=args.tx, ty=args.ty)
+    moves = {f.name: getattr(args, f.name) for f in fields(Transform) if f.name in args}
+    given = {name: getattr(args, name) for name in ("n_outliers", "noise_sigma") if name in args}
     points1, points2, truth = generate_synthetic(
-        args.inliers, args.outliers, args.noise, transform, args.seed
+        args.inliers, transform=Transform(**moves), seed=args.seed, **given
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -185,12 +186,14 @@ def build_parser():
 
     gen = sub.add_parser("gen", help="generate a planted synthetic problem")
     gen.add_argument("--inliers", type=int, required=True)
-    gen.add_argument("--outliers", type=int, default=0)
-    gen.add_argument("--noise", type=float, default=0.0)
-    gen.add_argument("--rotation", type=float, default=0.0)
-    gen.add_argument("--scale", type=float, default=1.0)
-    gen.add_argument("--tx", type=float, default=0.0)
-    gen.add_argument("--ty", type=float, default=0.0)
+    # A flag left out takes the generate_synthetic or Transform default.
+    planted = gen.add_argument_group("problem", argument_default=argparse.SUPPRESS)
+    planted.add_argument("--outliers", type=int, dest="n_outliers")
+    planted.add_argument("--noise", type=float, dest="noise_sigma")
+    planted.add_argument("--rotation", type=float)
+    planted.add_argument("--scale", type=float)
+    planted.add_argument("--tx", type=float)
+    planted.add_argument("--ty", type=float)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=_cmd_gen)

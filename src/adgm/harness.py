@@ -13,7 +13,7 @@ import csv
 import logging
 import time
 from dataclasses import dataclass, replace
-from math import cos, sin
+from math import cos, inf, isfinite, sin
 from numbers import Integral
 from pathlib import Path
 
@@ -65,6 +65,11 @@ class Transform:
     tx: float = 0.0
     ty: float = 0.0
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isfinite(value):
+                raise ValueError(f"transform {name} must be finite, got {value}")
+
     def apply(self, points):
         points = np.asarray(points, dtype=np.float64)
         c, s = cos(self.rotation), sin(self.rotation)
@@ -83,8 +88,7 @@ def generate_synthetic(n_inliers, n_outliers=0, noise_sigma=0.0, transform=None,
         raise ValueError(f"n_inliers must be >= 1, got {n_inliers}")
     if n_outliers < 0:
         raise ValueError(f"n_outliers must be >= 0, got {n_outliers}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    _check_noise_sigma(noise_sigma)
     if transform is None:
         transform = Transform()
     rng = np.random.default_rng(seed)
@@ -102,6 +106,13 @@ def generate_synthetic(n_inliers, n_outliers=0, noise_sigma=0.0, transform=None,
     truth = np.zeros(n_inliers * n2)
     truth[assignment_index(np.arange(n_inliers), slots[:n_inliers], n_inliers)] = 1.0
     return points1, points2, truth
+
+
+def _check_noise_sigma(noise_sigma):
+    """A ValueError unless ``noise_sigma`` is finite and >= 0."""
+    if not 0 <= noise_sigma < inf:
+        need = "finite" if noise_sigma >= 0 else ">= 0"
+        raise ValueError(f"noise_sigma must be {need}, got {noise_sigma}")
 
 
 def accuracy(result, truth, n_inliers):
@@ -165,8 +176,10 @@ class ExperimentConfig:
         for name in ("inliers", "total", "trials", "seed"):
             if not isinstance(getattr(self, name), Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not self.noise_sigma >= 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name, least in (("trials", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        _check_noise_sigma(self.noise_sigma)
         repeated = _repeated(self.values)
         if repeated:
             raise ValueError(f"sweep value {repeated[0]} is listed more than once")
@@ -174,8 +187,6 @@ class ExperimentConfig:
         for key in _MODEL_KEYS:
             if getattr(self, key) is not None and _PARAMETER.get(key, key) not in taken:
                 raise ValueError(f"model {self.model} does not take {key!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.methods:
             raise ValueError("at least one solver method is required")
         # Trials and summary rows are keyed by method name.

@@ -134,16 +134,16 @@ class SolverConfig:
         for name, value in (("t1", self.t1), ("t2", self.t2), ("max_iter", self.max_iter)):
             if not isinstance(value, Integral):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.rho0 is not None and not self.rho0 > 0:
-            raise ConfigurationError(f"rho0 must be > 0, got {self.rho0}")
-        if not self.beta > 1:
-            raise ConfigurationError(f"beta must be > 1, got {self.beta}")
+        if self.rho0 is not None and not 0 < self.rho0 < np.inf:
+            raise ConfigurationError(f"rho0 must be > 0 and finite, got {self.rho0}")
+        if not 1 < self.beta < np.inf:
+            raise ConfigurationError(f"beta must be > 1 and finite, got {self.beta}")
         if not (self.t1 >= self.t2 >= 1):
             raise ConfigurationError(
                 f"need t1 >= t2 >= 1, got t1={self.t1}, t2={self.t2}"
             )
-        if self.eps is not None and not self.eps > 0:
-            raise ConfigurationError(f"eps must be > 0, got {self.eps}")
+        if self.eps is not None and not 0 < self.eps < np.inf:
+            raise ConfigurationError(f"eps must be > 0 and finite, got {self.eps}")
         if self.max_iter < 1:
             raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -302,12 +302,13 @@ def to_minimization(instance):
     if instance.sense is Sense.MINIMIZE:
         warnings.warn("instance already minimizes; returning it unchanged")
         return instance, 0.0
-    entry_maxes = [float(t.values.max()) for t in instance.potentials if t.nnz]
-    v_max = max(entry_maxes) if entry_maxes else 0.0
+    # Read once: a dense-held tensor makes its values anew on each access.
+    values = [t.values for t in instance.potentials]
+    v_max = max((float(v.max()) for v in values if v.size), default=0.0)
     converted = []
-    for t in instance.potentials:
+    for t, v in zip(instance.potentials, values):
         with np.errstate(over="ignore"):
-            shifted = v_max - t.values
+            shifted = v_max - v
         if not np.all(np.isfinite(shifted)):
             raise ValueError(
                 "the potentials span more than the float range: every shifted "

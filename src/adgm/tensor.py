@@ -7,10 +7,12 @@ such a tensor indexes the same flat space of candidate assignments, so all
 modes share a single dimension ``dim``.
 
 A tensor's entries are canonical by construction: indices sorted
-lexicographically, duplicate indices merged by summation, exact zeros
-dropped.  An order-2 tensor that stores at least half of its ``dim**2``
-cells, such as a fully connected pairwise model's, is held as one
-read-only ``(dim, dim)`` float64 array whose absent cells are zero; its
+lexicographically, duplicate indices summed in input order from +0.0 (a
+sum that overflows is refused), exact zeros dropped.  An order-2 tensor
+that stores at least half of its ``dim**2`` cells, such as a fully
+connected pairwise model's, is held as one read-only ``(dim, dim)``
+float64 array whose absent cells are zero, written from its rows as read
+when they ascend strictly and from their merge otherwise; its
 ``indices`` and ``values`` are made from that array, in canonical order,
 on each access.  Every other tensor is held in coordinate format, an
 ``(nnz, order)`` index array and a parallel value array.  Instances are
@@ -114,7 +116,14 @@ class SparseTensor:
             raise ValueError("tensor values must be finite")
 
         if order == 2 and 0 < dim * dim <= 2 * values.size:
-            self._hold(2, dim, dense=_scattered(dim, indices, values))
+            # A later write to a cell replaces an earlier one: merge repeats first.
+            if not _ascending(2, dim, indices)[0]:
+                indices, values = _canonicalize(2, dim, indices, values)
+            dense = np.zeros((dim, dim))
+            for lo in range(0, values.size, _CHUNK):
+                part = slice(lo, lo + _CHUNK)
+                dense[indices[part, 0], indices[part, 1]] = values[part]
+            self._hold(2, dim, dense=dense)
         else:
             self._hold(order, dim, *_canonicalize(order, dim, indices, values))
 
@@ -315,6 +324,8 @@ class SparseTensor:
 
 def _canonicalize(order, dim, indices, values):
     """Sort lexicographically, merge duplicate indices, drop exact zeros.
+    This is the one merge of repeated entries: a dense-held order-2
+    tensor's rows that do not ascend and ``symmetrize``'s orbits take it.
 
     Rows already sorted and distinct, as in every tensor file this package
     writes and every order-3 tensor ``build_third_order`` builds, skip the
@@ -333,12 +344,6 @@ def _canonicalize(order, dim, indices, values):
     """
     if indices.shape[0] == 0:
         return indices.copy(), values.copy()
-    if order == 0:
-        with np.errstate(over="ignore"):
-            total = float(_finite_sums(values.sum()))
-        if total == 0.0:
-            return np.empty((0, 0), dtype=np.int64), np.empty(0, dtype=np.float64)
-        return np.empty((1, 0), dtype=np.int64), np.array([total])
     ascending, key = _ascending(order, dim, indices)
     if ascending:
         keep = values != 0.0
@@ -352,7 +357,9 @@ def _canonicalize(order, dim, indices, values):
         rows, merged = indices.take(runs[0], axis=0), values.take(runs[0])
     else:
         rows, inverse = _unique_rows(order, dim, indices, runs)
-        merged = _finite_sums(np.bincount(inverse, weights=values, minlength=rows.shape[0]))
+        merged = np.bincount(inverse, weights=values, minlength=rows.shape[0])
+        if not np.all(np.isfinite(merged)):
+            raise ValueError("tensor values must be finite: a sum of repeated entries overflows")
     if not merged.all():
         keep = merged != 0.0
         rows, merged = rows[keep], merged[keep]
@@ -386,35 +393,6 @@ def _stored(array):
     if flags.owndata and not flags.writeable and flags.c_contiguous:
         return array
     return array.copy()
-
-
-def _scattered(dim, indices, values):
-    """The ``(dim, dim)`` array of the order-2 entries ``indices`` and
-    ``values``: each cell the sum of its entries' values, added in input
-    order to +0.0 as ``_canonicalize``'s merge adds them, or +-0.0.
-
-    The values are first written as they are.  Only where an index pair
-    repeats can the cells hold fewer nonzeros than the values do, since a
-    later write replaces an earlier one; then the cells are summed anew,
-    and a sum that overflows is refused."""
-    dense = np.zeros((dim, dim))
-    for lo in range(0, values.size, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        dense[indices[part, 0], indices[part, 1]] = values[part]
-    if np.count_nonzero(dense) != np.count_nonzero(values):
-        dense.fill(0.0)
-        with np.errstate(over="ignore"):
-            np.add.at(dense, (indices[:, 0], indices[:, 1]), values)
-        _finite_sums(dense)
-    return dense
-
-
-def _finite_sums(sums):
-    """``sums``, the merged values of repeated index rows, when none of
-    them overflowed; a ValueError otherwise."""
-    if not np.all(np.isfinite(sums)):
-        raise ValueError("tensor values must be finite: a sum of repeated entries overflows")
-    return sums
 
 
 def _dense_indices(dense):
@@ -481,6 +459,9 @@ def _row_keys(order, dim, indices, modes=None):
     ``dim**order`` exceeds the largest intp."""
     if dim**order > _KEY_LIMIT:
         return None
+    if order == 0:
+        # Every row is the empty row; numpy's key would be one scalar.
+        return np.zeros(indices.shape[0], dtype=np.intp)
     columns = tuple(indices[:, m] for m in modes or range(order))
     return np.ravel_multi_index(columns, (dim,) * order)
 
@@ -597,8 +578,9 @@ def mode_product(tensor, mode, vector):
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape != (tensor.dim,):
         raise ValueError(f"vector must have shape ({tensor.dim},)")
-    new_values = tensor.values * vector[tensor.indices[:, mode - 1]]
-    new_indices = np.delete(tensor.indices, mode - 1, axis=1)
+    indices = tensor.indices
+    new_values = tensor.values * vector[indices[:, mode - 1]]
+    new_indices = np.delete(indices, mode - 1, axis=1)
     return SparseTensor(tensor.order - 1, tensor.dim, new_indices, new_values)
 
 
@@ -700,8 +682,7 @@ def symmetrize(tensor):
     order, dim = tensor.order, tensor.dim
     if order <= 1 or tensor.nnz == 0:
         return SparseTensor(order, dim, tensor.indices, tensor.values)
-    orbits, inverse = _unique_rows(order, dim, np.sort(tensor.indices, axis=1))
-    mass = np.bincount(inverse, weights=tensor.values, minlength=orbits.shape[0])
+    orbits, mass = _canonicalize(order, dim, np.sort(tensor.indices, axis=1), tensor.values)
     perms = list(permutations(range(order)))
     copies = np.concatenate([orbits[:, perm] for perm in perms], axis=0)
     rows, inverse = _unique_rows(order, dim, copies)

@@ -84,6 +84,23 @@ def operator_builds(monkeypatch):
     return built
 
 
+def dense_reads(monkeypatch, tensor):
+    """Record each time ``tensor``'s held array is read into entries, until
+    ``monkeypatch`` is undone: ``"indices"`` or ``"values"``.  Returns the
+    list of records."""
+    reads = []
+    for name in ("indices", "values"):
+        original = getattr(tensor_module, f"_dense_{name}")
+
+        def spy(dense, name=name, original=original):
+            if dense is tensor._dense:
+                reads.append(name)
+            return original(dense)
+
+        monkeypatch.setattr(tensor_module, f"_dense_{name}", spy)
+    return reads
+
+
 def run_fresh(code):
     """Run ``code`` in a new interpreter that imports this ``adgm``, and
     return what it prints."""

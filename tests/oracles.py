@@ -151,11 +151,6 @@ def rowwise_canonicalize(order, indices, values):
     indices = np.asarray(indices, dtype=np.int64).reshape(values.size, order)
     if indices.shape[0] == 0:
         return indices.copy(), values.copy()
-    if order == 0:
-        total = float(values.sum())
-        if total == 0.0:
-            return np.empty((0, 0), dtype=np.int64), np.empty(0)
-        return np.empty((1, 0), dtype=np.int64), np.array([total])
     uniq, inverse = np.unique(indices, axis=0, return_inverse=True)
     merged = np.bincount(inverse.ravel(), weights=values, minlength=uniq.shape[0])
     keep = merged != 0.0

@@ -5,9 +5,10 @@ import csv
 import numpy as np
 import pytest
 
-from adgm import harness
+from adgm import cli, harness
 from adgm.cli import main
 from adgm.constraints import ConstraintSpec, SideMode
+from adgm.harness import Transform, generate_synthetic
 from adgm.io import read_instance, read_points, read_truth
 
 pytestmark = pytest.mark.usefixtures("capsys")
@@ -151,6 +152,29 @@ class TestGen:
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "two" / name
             ).read_bytes()
+
+    def test_non_finite_noise_is_refused_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "planted"
+        assert run("gen", "--inliers", "4", "--noise", "inf", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: noise_sigma must be finite, got inf\n"
+        assert not out.exists()
+
+    def test_passes_only_the_flags_it_is_given(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return generate_synthetic(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_synthetic", spy)
+        assert run("gen", "--inliers", "3", "--out", str(tmp_path / "a")) == 0
+        argv = ["--outliers", "2", "--noise", "0.1", "--scale", "2", "--ty", "-1"]
+        assert run("gen", "--inliers", "3", *argv, "--out", str(tmp_path / "b")) == 0
+        assert calls == [
+            ((3,), dict(transform=Transform(), seed=0)),
+            ((3,), dict(transform=Transform(scale=2.0, ty=-1.0), seed=0, n_outliers=2,
+                        noise_sigma=0.1)),
+        ]
 
 
 def _gen_and_build(tmp_path, model="c", inliers=4, outliers=0, extra=()):
@@ -376,6 +400,10 @@ class TestBench:
             ("eta = 0.4\nknn = 3\n", 1, "error: model b does not take 'eta'"),
             ("values = 1,1\n", 1, "error: sweep value 1 is listed more than once"),
             ("methods = adgm1,ADGM1\n", 1, "error: method 'adgm1' is listed more than once"),
+            ("rho0 = inf\n", 2, "refused: rho0 must be > 0 and finite, got inf"),
+            ("noise_sigma = inf\n", 1, "error: noise_sigma must be finite, got inf"),
+            ("seed = -1\n", 1, "error: seed must be >= 0, got -1"),
+            ("rotation = inf\n", 1, "error: transform rotation must be finite, got inf"),
         ],
     )
     def test_bad_config_is_refused_before_any_work(

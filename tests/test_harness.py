@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ class TestTransform:
         pts = np.array([[1.0, 0.0]])
         moved = Transform(rotation=math.pi / 2, scale=2.0, tx=3.0, ty=4.0).apply(pts)
         assert moved[0] == pytest.approx([3.0, 6.0], abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["rotation", "scale", "tx", "ty"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_refuses_a_non_finite_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^transform {name} must be finite, got {value}$"):
+            Transform(**{name: value})
 
 
 class TestGenerateSynthetic:
@@ -88,6 +95,16 @@ class TestGenerateSynthetic:
             generate_synthetic(3, n_outliers=-1)
         with pytest.raises(ValueError, match="noise_sigma"):
             generate_synthetic(3, noise_sigma=-0.5)
+
+    @pytest.mark.parametrize(
+        "noise_sigma, message",
+        [(math.nan, "must be >= 0, got nan"), (math.inf, "must be finite, got inf")],
+    )
+    def test_refuses_a_non_finite_noise(self, noise_sigma, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^noise_sigma {message}$"):
+                generate_synthetic(3, noise_sigma=noise_sigma)
 
 
 class TestAccuracy:
@@ -161,6 +178,8 @@ class TestExperimentConfig:
             (dict(seed=0.5), "seed must be an integer, got 0.5"),
             (dict(noise_sigma=-1.0), "noise_sigma must be >= 0, got -1.0"),
             (dict(noise_sigma=math.nan), "noise_sigma must be >= 0, got nan"),
+            (dict(noise_sigma=math.inf), "noise_sigma must be finite, got inf"),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
         ],
     )
     def test_refuses_a_bad_setting_before_any_work(self, tmp_path, kwargs, message):

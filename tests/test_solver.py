@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import dense_random_instance, operator_builds, random_instance, random_state
+from helpers import (
+    dense_random_instance,
+    dense_reads,
+    operator_builds,
+    random_instance,
+    random_state,
+)
 
 from adgm import solver
 from adgm.constraints import ConstraintSpec, as_vector, feasibility
@@ -55,6 +61,9 @@ def unary_instance(values, spec, sense=Sense.MINIMIZE):
         dict(t2=2.5),
         dict(max_iter=2.5),
         dict(max_iter="50"),
+        dict(rho0=np.inf),
+        dict(beta=np.inf),
+        dict(eps=np.inf),
     ],
 )
 def test_config_validation(kwargs):
@@ -721,6 +730,20 @@ def test_to_minimization_shares_the_indices_of_entries_it_keeps():
     assert converted.potentials[0].indices is unary.indices
     assert dict(converted.potentials[0].items()) == {(0,): 3.0, (2,): 2.0, (3,): 3.5}
     assert dict(converted.potentials[1].items()) == {(1, 2): 3.0}
+
+
+def test_to_minimization_reads_a_dense_held_tensor_once(monkeypatch):
+    rng = np.random.default_rng(8)
+    pair = SparseTensor(2, 4, np.argwhere(np.ones((4, 4))), rng.uniform(1.0, 2.0, 16))
+    assert pair._dense is not None
+    unary = SparseTensor.empty(1, 4)
+    inst = MatchingInstance(2, 2, (unary, pair), ConstraintSpec(2, 2), Sense.MAXIMIZE)
+    reads = dense_reads(monkeypatch, pair)
+    converted, v_max = to_minimization(inst)
+    assert reads == ["values", "indices"]
+    assert v_max == pair.values.max()
+    kept = pair.values[pair.values != v_max]
+    assert np.array_equal(converted.potentials[1].values, v_max - kept)
 
 
 def test_to_minimization_warns_on_minimize():

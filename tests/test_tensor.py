@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import operator_builds, random_sparse_tensor
+from helpers import dense_reads, operator_builds, random_sparse_tensor
 
 from adgm import io as io_module
 from adgm import tensor as tensor_module
@@ -208,6 +208,17 @@ def test_repeated_rows_add_their_values_in_input_order(terms):
     _assert_same_arrays(tensor, *oracles.rowwise_canonicalize(3, indices, values))
     at = np.all(tensor.indices == 4, axis=1)
     assert tensor.values[at].tolist() == ([total] if total else [])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_eight_or_more_repeats_add_in_input_order(order):
+    # numpy's pairwise sum adds eight or more terms in another order, and
+    # gives 8.0 here; in input order the ones are lost and the sum is 0.0.
+    values = np.array([1e16] + [1.0] * 8 + [-1e16])
+    indices = np.ones((values.size, order), dtype=np.int64)
+    tensor = SparseTensor(order, 3, indices, values)
+    _assert_same_arrays(tensor, *oracles.rowwise_canonicalize(order, indices, values))
+    assert tensor.nnz == 0
 
 
 def test_signed_zeros_and_cancelling_pairs_are_dropped():
@@ -571,6 +582,16 @@ def test_mode_product_chain_equals_form():
         folded = mode_product(folded, 1, v)
     chained = folded.values.sum() if folded.nnz else 0.0
     assert chained == pytest.approx(multilinear_form(t, vectors), rel=1e-12, abs=1e-12)
+
+
+def test_mode_product_reads_a_dense_held_tensor_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    t = SparseTensor(2, 4, np.argwhere(np.ones((4, 4))), rng.normal(size=16))
+    assert t._dense is not None
+    reads = dense_reads(monkeypatch, t)
+    got = mode_product(t, 2, np.arange(4.0))
+    assert sorted(reads) == ["indices", "values"]
+    assert np.allclose(oracles.dense_tensor(got), t._dense @ np.arange(4.0), rtol=1e-12)
 
 
 def test_mode_product_validates_mode():
