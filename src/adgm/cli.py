@@ -51,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _path(text):
+    """A file or directory argument: the empty string names none."""
+    if not text:
+        raise argparse.ArgumentTypeError("a path must not be empty")
+    return text
+
+
 def _cmd_gen(args):
     moves = {f.name: getattr(args, f.name) for f in fields(Transform) if f.name in args}
     given = {name: getattr(args, name) for name in ("n_outliers", "noise_sigma") if name in args}
@@ -195,18 +202,18 @@ def build_parser():
     planted.add_argument("--tx", type=float)
     planted.add_argument("--ty", type=float)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True, help="output directory")
+    gen.add_argument("--out", type=_path, required=True, help="output directory")
     gen.set_defaults(func=_cmd_gen)
 
     build = sub.add_parser("build", help="build an instance file from point sets")
-    build.add_argument("--points1", required=True)
-    build.add_argument("--points2", required=True)
+    build.add_argument("--points1", type=_path, required=True)
+    build.add_argument("--points2", type=_path, required=True)
     build.add_argument("--model", choices=MODELS, required=True)
     sides = [mode.value for mode in SideMode]
     build.add_argument("--rows", choices=sides, default=None)
     build.add_argument("--cols", choices=sides, default=None)
-    build.add_argument("--truth", help="ground-truth correspondence file")
-    build.add_argument("--out", required=True, help="output instance file")
+    build.add_argument("--truth", type=_path, help="ground-truth correspondence file")
+    build.add_argument("--out", type=_path, required=True, help="output instance file")
     # A flag left out takes the builder's default; a flag the builder does
     # not take is refused.
     model = build.add_argument_group("model", argument_default=argparse.SUPPRESS)
@@ -218,33 +225,33 @@ def build_parser():
         model.add_argument("--knn", type=int),
         model.add_argument("--triangles", type=int, dest="triangle_budget"),
         model.add_argument("--gamma", type=float),
-        model.add_argument("--unary", help="unary potential file (model a)"),
+        model.add_argument("--unary", type=_path, help="unary potential file (model a)"),
         model.add_argument("--unary-offset", type=float),
-        model.add_argument("--edges1", help="edge list for the first set (model a)"),
-        model.add_argument("--edges2", help="edge list for the second set (model a)"),
+        model.add_argument("--edges1", type=_path, help="edge list for the first set (model a)"),
+        model.add_argument("--edges2", type=_path, help="edge list for the second set (model a)"),
         model.add_argument("--seed", type=int),
     ]
     build.set_defaults(func=_cmd_build, model_flags=model_flags)
 
     solve_cmd = sub.add_parser("solve", help="solve an instance file")
-    solve_cmd.add_argument("instance")
+    solve_cmd.add_argument("instance", type=_path)
     _add_solver_flags(solve_cmd)
-    solve_cmd.add_argument("--trace", help="write per-iteration trace CSV here")
-    solve_cmd.add_argument("--out", help="write the discrete solution here")
+    solve_cmd.add_argument("--trace", type=_path, help="write per-iteration trace CSV here")
+    solve_cmd.add_argument("--out", type=_path, help="write the discrete solution here")
     solve_cmd.set_defaults(func=_cmd_solve)
 
     bench = sub.add_parser("bench", help="run a sweep experiment from a config file")
-    bench.add_argument("config")
-    bench.add_argument("--out", default=None, help="output directory (overrides the config)")
+    bench.add_argument("config", type=_path)
+    bench.add_argument("--out", type=_path, help="output directory (overrides the config)")
     bench.set_defaults(func=_cmd_bench)
 
     oracle = sub.add_parser("oracle", help="exhaustive discrete optimum of a small instance")
-    oracle.add_argument("instance")
+    oracle.add_argument("instance", type=_path)
     # A flag left out takes the BruteForceLimits default.
     limits = oracle.add_argument_group("limits", argument_default=argparse.SUPPRESS)
     limits.add_argument("--max-injective", type=int)
     limits.add_argument("--max-occluded", type=int)
-    oracle.add_argument("--out", help="write the optimal solution here")
+    oracle.add_argument("--out", type=_path, help="write the optimal solution here")
     oracle.set_defaults(func=_cmd_oracle)
 
     return parser

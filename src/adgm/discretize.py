@@ -3,7 +3,8 @@
 ``hungarian`` turns a profit matrix into the exact best hard assignment
 under the instance's side constraints; ``brute_force_optimum`` enumerates
 every hard assignment of a small instance and returns the exact optimizer,
-refusing loudly when the instance is too large to enumerate.
+refusing loudly when the instance is too large to enumerate, and scores
+its candidates with the multilinear form's own kernel (``tensor._form``).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .constraints import SideMode, assignment_index
 from .errors import OracleRefusalError
+from .tensor import _form
 
 
 @dataclass(frozen=True)
@@ -154,33 +156,6 @@ def _candidate_batches(spec, batch):
                 yield assignment_index(both[:, :k], both[:, k:], n1)
 
 
-def _batch_energies(entries, x, gathered, factors):
-    """``energy`` of each row of the 0/1 matrix ``x``, with the same
-    operations in the same order, so every value is bit-identical.
-
-    ``entries`` holds the ``(indices, values)`` of each potential that
-    stores any.  ``gathered`` and ``factors`` are flat float buffers of at
-    least ``x.shape[0]`` times the largest ``nnz`` entries, which the
-    products are written into instead of new arrays."""
-    # energy adds each tensor's float to an int 0.  The total is never
-    # -0.0, so the 0.0 of an empty tensor can be skipped.
-    total = np.zeros(x.shape[0])
-    for indices, values in entries:
-        size = x.shape[0] * values.size
-        gather = gathered[:size].reshape(x.shape[0], values.size)
-        factor = factors[:size].reshape(x.shape[0], values.size)
-        # take keeps factor C-ordered, so each row is summed pairwise like
-        # multilinear_form's 1-D sum (x[:, idx] would be F-ordered).  The
-        # indices are in range; "clip" spares take a buffered copy of out.
-        x.take(indices[:, 0], axis=1, out=gather, mode="clip")
-        np.multiply(values, gather, out=factor)
-        for m in range(1, indices.shape[1]):
-            x.take(indices[:, m], axis=1, out=gather, mode="clip")
-            factor *= gather
-        total += factor.sum(axis=1)
-    return total
-
-
 def _candidate_count(spec):
     n1, n2 = spec.n1, spec.n2
     if spec.row_mode is SideMode.EXACTLY_ONE:
@@ -228,14 +203,19 @@ def brute_force_optimum(instance, limits=None):
     batch = max(1, _BATCH_FLOATS // widest)
     # Allocated once: a process whose allocator returns each freed batch
     # temporary to the system faults its pages in again on every batch.
-    gathered, factors = np.empty(batch * widest), np.empty(batch * widest)
-    # A tensor held as a dense array makes its entries on each access.
-    entries = [(t.indices, t.values) for t in instance.potentials if t.nnz]
+    factors, gathered = np.empty(batch * widest), np.empty(batch * widest)
+    # Read once: a tensor held as a dense array makes its entries on each read.
+    entries = [(t, list(t._entry_chunks(t.nnz))) for t in instance.potentials if t.nnz]
     best_score = best_vec = best_energy = None
     for selected in _candidate_batches(spec, batch):
         x = np.zeros((selected.shape[0], n))
         x[np.arange(selected.shape[0])[:, None], selected] = 1.0
-        values = _batch_energies(entries, x, gathered, factors)
+        # energy adds each tensor's form to an int 0.  The total is never
+        # -0.0, so the 0.0 of an empty tensor can be skipped.
+        values = np.zeros(len(x))
+        for t, chunks in entries:
+            factor = factors[: len(x) * t.nnz].reshape(len(x), t.nnz)
+            values += _form(chunks, [x] * t.order, factor, gathered)
         scores = -values if maximize else values
         score = scores.min()
         tied = np.flatnonzero(scores == score)

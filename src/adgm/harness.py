@@ -180,6 +180,8 @@ class ExperimentConfig:
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         _check_noise_sigma(self.noise_sigma)
+        if self.out_dir == "":
+            raise ValueError("out_dir (config key 'out') must name a directory, got ''")
         repeated = _repeated(self.values)
         if repeated:
             raise ValueError(f"sweep value {repeated[0]} is listed more than once")
@@ -230,10 +232,11 @@ def _build_instance(config, points1, points2, truth, model_seed):
 def run_experiment(config, out_dir=None):
     """Run the full sweep and write trials.csv, summary.csv, and plot.py
     into the output directory.  Returns the list of TrialReports."""
-    target = out_dir if out_dir is not None else config.out_dir
-    if target is None:
+    if out_dir is not None:
+        config = replace(config, out_dir=out_dir)  # which checks it
+    if config.out_dir is None:
         raise ValueError("an output directory is required (config out / out_dir)")
-    target = Path(target)
+    target = Path(config.out_dir)
     target.mkdir(parents=True, exist_ok=True)
 
     prefix = "out" if config.sweep == "outliers" else "sub"
@@ -384,12 +387,6 @@ def _optional_float(text):
     return float(text) if text else None
 
 
-def _out_dir(text):
-    if not text:
-        raise ValueError("needs a directory")
-    return text
-
-
 # Config key -> value parser, one table per target.  Keys left out of a
 # file take the target's own defaults.  The model keys are the
 # ExperimentConfig fields that _build_instance passes to the builder.
@@ -415,7 +412,7 @@ _EXPERIMENT_KEYS = {
     "noise_sigma": float,
     "seed": int,
     **_MODEL_KEYS,
-    "out": _out_dir,
+    "out": str,
 }
 _TRANSFORM_KEYS = {"rotation": float, "scale": float, "tx": float, "ty": float}
 _SOLVER_KEYS = {

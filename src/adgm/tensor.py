@@ -37,6 +37,10 @@ the entries in the columns of ``S x S``, cached for the last few supports.
 Only the full support, which a solve's uniform start and non-finite blocks
 take, forms the dense ``dim**2`` work vector, and it applies the whole
 half operator, with no plan.
+
+``multilinear_form`` and the exhaustive oracle, which scores batches of
+candidates, share one kernel (``_form``).  It reads ``_entry_chunks``, the
+entry stream that the text writer reads too.
 """
 
 from __future__ import annotations
@@ -117,8 +121,9 @@ class SparseTensor:
 
         if order == 2 and 0 < dim * dim <= 2 * values.size:
             # A later write to a cell replaces an earlier one: merge repeats first.
-            if not _ascending(2, dim, indices)[0]:
-                indices, values = _canonicalize(2, dim, indices, values)
+            ascending, key = _ascending(2, dim, indices)
+            if not ascending:
+                indices, values = _canonicalize(2, dim, indices, values, key)
             dense = np.zeros((dim, dim))
             for lo in range(0, values.size, _CHUNK):
                 part = slice(lo, lo + _CHUNK)
@@ -322,7 +327,7 @@ class SparseTensor:
         return plan
 
 
-def _canonicalize(order, dim, indices, values):
+def _canonicalize(order, dim, indices, values, key=None):
     """Sort lexicographically, merge duplicate indices, drop exact zeros.
     This is the one merge of repeated entries: a dense-held order-2
     tensor's rows that do not ascend and ``symmetrize``'s orbits take it.
@@ -340,16 +345,18 @@ def _canonicalize(order, dim, indices, values):
     the bits do not depend on how the sort orders equal keys.
     Both give the bits of merging every row: a lone row's merged value is
     ``0.0 + v``, which is ``v``, or ``+0.0`` and dropped when ``v`` is
-    ``-0.0``.  A merged sum that overflows is refused.
+    ``-0.0``.  A merged sum that overflows is refused.  A given ``key`` is
+    the keys of rows that ``_ascending`` found not to ascend.
     """
     if indices.shape[0] == 0:
         return indices.copy(), values.copy()
-    ascending, key = _ascending(order, dim, indices)
-    if ascending:
-        keep = values != 0.0
-        if keep.all():
-            return _stored(indices), _stored(values)
-        return indices[keep], values[keep]
+    if key is None:
+        ascending, key = _ascending(order, dim, indices)
+        if ascending:
+            keep = values != 0.0
+            if keep.all():
+                return _stored(indices), _stored(values)
+            return indices[keep], values[keep]
     runs = None if key is None else _sorted_runs(key)
     del key
     if runs is not None and runs[1].all():
@@ -541,19 +548,27 @@ def multilinear_form(tensor, vectors):
     for v in vectors:
         if v.shape != (tensor.dim,):
             raise ValueError(f"vectors must have shape ({tensor.dim},)")
-    if tensor.nnz == 0:
-        return 0.0
-    # Each entry's product (v * x_1) * x_2 ... is taken in mode order, a
-    # block of entries at a time into one buffer, so only the buffer is
-    # held; one sum adds the terms, in canonical order.
-    factor, at = np.empty(tensor.nnz), 0
-    for columns, values in tensor._entry_chunks(_BLOCK):
-        part = factor[at : at + values.size]
+    gather = np.empty(min(tensor.nnz, max(_BLOCK, tensor.dim)))
+    return float(_form(tensor._entry_chunks(_BLOCK), vectors, np.empty(tensor.nnz), gather))
+
+
+def _form(chunks, vectors, factor, gather):
+    """The form of the ``_entry_chunks`` ``chunks`` at ``vectors``, each
+    ``(dim,)``, or ``(B, dim)`` for ``B`` forms at once.  Each entry's product
+    ``(v * x_1) * x_2 ...`` is taken in mode order into ``factor``, a
+    C-ordered ``(nnz,)`` or ``(B, nnz)`` buffer, and one pairwise sum adds
+    each form's terms in canonical order: a batch has the bits of 1-D forms.
+    The flat buffer ``gather`` holds at least ``B`` times the largest chunk."""
+    at = 0
+    for columns, values in chunks:
+        part = factor[..., at : at + values.size]
+        taken = gather[: part.size].reshape(part.shape)
         part[...] = values
         for v, index in zip(vectors, columns):
-            part *= v[index]
+            # The indices are in range; "clip" spares take a buffered copy of out.
+            part *= v.take(index, axis=-1, out=taken, mode="clip")
         at += values.size
-    return float(factor.sum())
+    return factor.sum(axis=-1)
 
 
 def _checked_int(name, value):

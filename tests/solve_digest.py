@@ -10,7 +10,7 @@ The first line is the digest of all sections together; then follows one
 one section shows every other one unchanged.  It imports the ``adgm``
 package of the checkout it lives in and hashes, section by section
 (models, schedules, random, hungarian, injective, parse, bench, pulls,
-coordinate_pulls, delaunay):
+coordinate_pulls, delaunay, oracle):
 
 - every ``SolverResult`` field except ``wall_time``, traced, for both
   variants, on models a, b, c and third (seeds 0-2, 6 inliers plus 2
@@ -40,7 +40,12 @@ coordinate_pulls, delaunay):
   6 x 5 grid and scaled, shifted and rotated copies of it, collinear points
   (exactly and up to rounding), near-duplicate, cocircular (with and
   without the centre) and repeated points, and coordinates scaled by 1e80,
-  1e150 and 1e-150.
+  1e150 and 1e-150;
+- ``brute_force_optimum``, in both senses, on model b and c instances at
+  4+1 and 5+2 points (order-2 potentials held as dense arrays), on a 3 x 11
+  instance whose order-3 tensor stores every cell (one candidate per
+  scoring batch), and on integer-valued unary potentials full of ties,
+  for every side-mode branch of the enumeration.
 
 Floats are hashed bit for bit, so a digest depends on the platform and
 its numpy build: compare digests taken on one machine.  Pytest does not
@@ -291,6 +296,36 @@ def feed_delaunay(digest):
         feed(digest, delaunay_edges(points))
 
 
+def oracle_instances():
+    """Instances whose exact optimum ``brute_force_optimum`` finds, each in
+    both senses."""
+    for model, (inliers, outliers), seed in product("bc", ((4, 1), (5, 2)), range(2)):
+        points1, points2, _ = generate_synthetic(inliers, outliers, 0.02, seed=seed)
+        built = build_model(model, points1, points2, seed=seed)
+        yield built.n1, built.n2, built.potentials, built.spec
+    rng = np.random.default_rng(2804)
+    n1, n2 = 3, 11
+    n = n1 * n2
+    cube = np.indices((n,) * 3).reshape(3, -1).T
+    yield n1, n2, (
+        random_tensor(rng, 1, n),
+        SparseTensor.empty(2, n),
+        SparseTensor(3, n, cube, rng.normal(0.0, 1.0, n**3)),
+    ), ConstraintSpec.injective(n1, n2)
+    for n1, n2 in ((4, 4), (3, 5), (5, 3)):
+        n = n1 * n2
+        for spec in one_to_one_specs(n1, n2):
+            for low, high in ((1, 3), (-1, 2)):
+                ties = rng.integers(low, high, n).astype(np.float64)
+                yield n1, n2, (SparseTensor(1, n, np.arange(n)[:, None], ties),), spec
+
+
+def feed_oracle(digest):
+    for n1, n2, potentials, spec in oracle_instances():
+        for sense in Sense:
+            feed(digest, brute_force_optimum(MatchingInstance(n1, n2, potentials, spec, sense)))
+
+
 SECTIONS = (
     ("models", feed_models),
     ("schedules", feed_schedules),
@@ -302,6 +337,7 @@ SECTIONS = (
     ("pulls", feed_pulls),
     ("coordinate_pulls", feed_coordinate_pulls),
     ("delaunay", feed_delaunay),
+    ("oracle", feed_oracle),
 )
 
 

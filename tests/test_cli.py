@@ -55,6 +55,47 @@ class TestUsageErrors:
         assert "missing.txt" not in err
         assert not (tmp_path / "instance.txt").exists()
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("gen", "--inliers", "3", "--out", ""), "--out"),
+            (("build", "--points1", "", "--points2", "p", "--model", "c",
+              "--out", "i"), "--points1"),
+            (("build", "--points1", "p", "--points2", "", "--model", "c",
+              "--out", "i"), "--points2"),
+            (("build", "--points1", "p", "--points2", "p", "--model", "c", "--out", ""), "--out"),
+            (("build", "--points1", "p", "--points2", "p", "--model", "c", "--truth", "",
+              "--out", "i"), "--truth"),
+            (("build", "--points1", "p", "--points2", "p", "--model", "a", "--unary", "",
+              "--out", "i"), "--unary"),
+            (("build", "--points1", "p", "--points2", "p", "--model", "a", "--edges1", "",
+              "--out", "i"), "--edges1"),
+            (("build", "--points1", "p", "--points2", "p", "--model", "a", "--edges2", "",
+              "--out", "i"), "--edges2"),
+            (("solve", ""), "instance"),
+            (("solve", "i", "--trace", ""), "--trace"),
+            (("solve", "i", "--out", ""), "--out"),
+            (("bench", ""), "config"),
+            (("bench", "c", "--out", ""), "--out"),
+            (("oracle", ""), "instance"),
+            (("oracle", "i", "--out", ""), "--out"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value[0],
+    )
+    def test_an_empty_path_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, name
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        for reader in ("generate_synthetic", "read_points", "read_instance",
+                       "read_experiment_config"):
+            monkeypatch.setattr(cli, reader, never)
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
+        assert f"argument {name}: a path must not be empty" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_missing_input_file(self, tmp_path, capsys):
         assert run("solve", str(tmp_path / "nope.txt")) == 1
         assert "error:" in capsys.readouterr().err

@@ -26,6 +26,7 @@ PINNED = {
     "pulls": "87308a6199686acef29fd63ab57fb5a8",
     "coordinate_pulls": "ef59ec5a5a52f88708979d477f35bacb",
     "delaunay": "4ad35cd66c860f558d126be951fee5cf",
+    "oracle": "cef65a41c635060d36af56e5c2357985",
 }
 
 

@@ -180,6 +180,7 @@ class TestExperimentConfig:
             (dict(noise_sigma=math.nan), "noise_sigma must be >= 0, got nan"),
             (dict(noise_sigma=math.inf), "noise_sigma must be finite, got inf"),
             (dict(seed=-1), "seed must be >= 0, got -1"),
+            (dict(out_dir=""), "out_dir (config key 'out') must name a directory, got ''"),
         ],
     )
     def test_refuses_a_bad_setting_before_any_work(self, tmp_path, kwargs, message):
@@ -187,6 +188,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(ExperimentConfig(**{"model": "c", "values": (0,), **kwargs}), out)
         assert not out.exists()
+
+    def test_run_refuses_an_empty_out_dir_before_any_work(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = ExperimentConfig(model="c", values=(0,), inliers=3)
+        message = "out_dir (config key 'out') must name a directory, got ''"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(config, "")
+        assert not any(tmp_path.iterdir())
 
     def test_takes_numpy_integers(self):
         config = ExperimentConfig(

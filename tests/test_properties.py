@@ -4,9 +4,11 @@ An order-2 tensor at least half full is held as one dense array.  Most
 properties here compare such tensors, and the coordinate tensors the same
 rule leaves alone, with ``oracles.CooTensor``, the coordinate-form
 reference, bit for bit; one compares the pulls of tensors of orders 1-4
-with the per-mode CSR reference.  The draws are derandomized and nothing
-is written to disk, so every run of the same set of test modules checks
-the same examples.  Hypothesis also draws literals from the source it has loaded,
+with the per-mode CSR reference.  The last two take the exhaustive oracle
+as ground truth on instances small enough to enumerate: it must find the
+optimum that per-candidate scoring finds, and no solve may beat it.  The
+draws are derandomized and nothing is written to disk, so every run of
+the same set of test modules checks the same examples.  Hypothesis also draws literals from the source it has loaded,
 so running this module alone can check other examples than the whole
 suite does.
 """
@@ -18,9 +20,18 @@ from hypothesis import strategies as st
 
 import oracles
 
-from adgm.constraints import ConstraintSpec
+from adgm.constraints import ConstraintSpec, SideMode, feasibility
+from adgm.discretize import brute_force_optimum
 from adgm.io import tensor_from_lines, tensor_to_lines
-from adgm.solver import MatchingInstance, Sense, energy, to_minimization
+from adgm.solver import (
+    MatchingInstance,
+    Sense,
+    SolverConfig,
+    Variant,
+    energy,
+    solve,
+    to_minimization,
+)
 from adgm.tensor import SparseTensor, multilinear_form, partial_contraction
 
 _SETTINGS = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -244,3 +255,68 @@ def test_text_is_the_reference_text(case):
     _held_by_the_rule(read)
     _same_array(read.indices, ref.indices)
     _same_array(read.values, ref.values)
+
+
+# Potentials of a matching instance: integers, which tie, and moderate
+# floats, both zeros included.
+_POTENTIALS = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))
+
+
+def _specs(n1, n2):
+    """Every side-constraint spec that ``n1 x n2`` allows: a side is matched
+    exactly once only when it is not the larger one."""
+    modes = (SideMode.EXACTLY_ONE, SideMode.AT_MOST_ONE)
+    return [
+        ConstraintSpec(n1, n2, rows, cols)
+        for rows in modes
+        for cols in modes
+        if not (rows is SideMode.EXACTLY_ONE and n1 > n2)
+        and not (cols is SideMode.EXACTLY_ONE and n2 > n1)
+    ]
+
+
+@st.composite
+def _small_instances(draw):
+    """An instance of at most 4 x 4 points with potentials of orders 1-3,
+    each sparse (repeated indices included) or, for order 2, storing at
+    least half of its cells, in either sense under any spec."""
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = n1 * n2
+    potentials = []
+    for order in range(1, draw(st.integers(1, 3)) + 1):
+        cells = n**order
+        if order == 2 and draw(st.booleans()):
+            count = draw(st.integers((cells + 1) // 2, cells))
+            chosen = draw(st.permutations(range(cells)))[:count]
+        else:
+            chosen = draw(st.lists(st.integers(0, cells - 1), max_size=3 * n))
+        indices = np.stack(np.unravel_index(np.array(chosen, dtype=np.intp), (n,) * order), axis=1)
+        values = draw(st.lists(_POTENTIALS, min_size=len(chosen), max_size=len(chosen)))
+        potentials.append(SparseTensor(order, n, indices, values))
+    spec = draw(st.sampled_from(_specs(n1, n2)))
+    return MatchingInstance(n1, n2, tuple(potentials), spec, draw(st.sampled_from(Sense)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_small_instances())
+def test_the_oracle_finds_the_optimum_of_per_candidate_scoring(instance):
+    got_x, got_energy = brute_force_optimum(instance)
+    want_x, want_energy = oracles.exhaustive_optimum(instance)
+    _same_array(got_x, want_x)
+    _same_float(got_energy, want_energy)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_small_instances())
+def test_no_solve_beats_the_oracle(instance):
+    _, best = brute_force_optimum(instance)
+    for variant in Variant:
+        result = solve(instance, SolverConfig(variant=variant))
+        x = result.discrete
+        assert np.all((x == 0.0) | (x == 1.0))
+        assert feasibility(x, instance.spec, hard=True).max_violation == 0.0
+        _same_float(energy(instance, x), result.energy_discrete)
+        if instance.sense is Sense.MAXIMIZE:
+            assert result.energy_discrete <= best
+        else:
+            assert result.energy_discrete >= best

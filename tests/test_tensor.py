@@ -340,9 +340,11 @@ def test_canonical_input_skips_the_sort_bit_for_bit(monkeypatch, zeros):
 
 
 @pytest.mark.parametrize(
-    "indices", [[[3, 1], [0, 2], [3, 1]], [[0, 1], [0, 1], [3, 1]]], ids=["unsorted", "repeated"]
+    "dim, indices",
+    [(5, [[3, 1], [0, 2], [3, 1]]), (5, [[0, 1], [0, 1], [3, 1]]), (2, [[1, 0], [0, 1], [1, 0]])],
+    ids=["unsorted", "repeated", "half-full"],
 )
-def test_input_that_needs_the_sort_keys_its_rows_once(monkeypatch, indices):
+def test_input_that_needs_the_sort_keys_its_rows_once(monkeypatch, dim, indices):
     calls = []
     row_keys = tensor_module._row_keys
 
@@ -351,7 +353,7 @@ def test_input_that_needs_the_sort_keys_its_rows_once(monkeypatch, indices):
         return row_keys(*args, **kwargs)
 
     monkeypatch.setattr(tensor_module, "_row_keys", spy)
-    t = SparseTensor(2, 5, indices, [1.0, 2.0, 3.0])
+    t = SparseTensor(2, dim, indices, [1.0, 2.0, 3.0])
     assert len(calls) == 1
     monkeypatch.undo()
     _assert_same_arrays(t, *oracles.rowwise_canonicalize(2, indices, [1.0, 2.0, 3.0]))
